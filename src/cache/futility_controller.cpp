@@ -40,15 +40,6 @@ FutilityController::targetLines(uint32_t partition) const
 }
 
 void
-FutilityController::tick()
-{
-    if (++sinceUpdate_ >= config_.updatePeriod) {
-        sinceUpdate_ = 0;
-        update();
-    }
-}
-
-void
 FutilityController::update()
 {
     for (uint32_t p = 0; p < targets_.size(); ++p) {

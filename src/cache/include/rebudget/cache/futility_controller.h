@@ -63,7 +63,14 @@ class FutilityController
      * Notify the controller that one access occurred; every
      * updatePeriod accesses the scales are recomputed.
      */
-    void tick();
+    void
+    tick()
+    {
+        if (++sinceUpdate_ >= config_.updatePeriod) {
+            sinceUpdate_ = 0;
+            update();
+        }
+    }
 
     /** Force a scale update now (used by tests and epoch boundaries). */
     void update();

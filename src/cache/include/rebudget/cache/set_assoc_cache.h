@@ -14,12 +14,18 @@
  *
  * With all scale factors equal the policy degenerates to plain global
  * LRU, which is also the single-partition behavior.
+ *
+ * Storage is structure-of-arrays, set-major: the hit check of a 32-way
+ * set reads only its 256 bytes of tags, and an invalid way holds a
+ * sentinel tag, so the scan needs no valid bits.
  */
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "rebudget/cache/cache_config.h"
+#include "rebudget/cache/set_indexer.h"
 
 namespace rebudget::cache {
 
@@ -104,22 +110,25 @@ class SetAssocCache
     uint32_t partitions() const { return numPartitions_; }
 
   private:
-    struct Line
-    {
-        uint64_t tag = 0;
-        uint64_t lastTouch = 0;
-        int32_t owner = -1;
-        bool valid = false;
-        bool dirty = false;
-    };
+    /**
+     * Tag of an invalid way.  Only the last byte address of a one-set
+     * cache with one-byte lines yields it; access() asserts against it.
+     */
+    static constexpr uint64_t kInvalidTag =
+        std::numeric_limits<uint64_t>::max();
 
-    uint32_t findVictim(uint64_t set_base);
+    uint32_t findVictim(uint64_t set_base) const;
 
     CacheConfig config_;
     uint32_t numPartitions_;
-    uint64_t numSets_;
+    int lineShift_ = 0;
+    SetIndexer indexer_;
     uint64_t now_ = 0;
-    std::vector<Line> lines_; // sets * assoc, set-major
+    // Per way, sets * assoc entries, set-major.
+    std::vector<uint64_t> tags_;
+    std::vector<uint64_t> lastTouch_;
+    std::vector<int32_t> owner_;
+    std::vector<uint8_t> dirty_;
     std::vector<double> scales_;
     std::vector<uint64_t> occupancy_;
     std::vector<PartitionStats> stats_;

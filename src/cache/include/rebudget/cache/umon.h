@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "rebudget/cache/miss_curve.h"
+#include "rebudget/cache/set_indexer.h"
 
 namespace rebudget::cache {
 
@@ -78,11 +79,14 @@ class UMonitor
 
   private:
     UMonConfig config_;
-    uint64_t shadowSets_;    // sets of the full-size shadow cache
     uint64_t sampledSets_;   // number of monitored sets
-    // Per monitored set: LRU-ordered tags, front = MRU. Entry count is at
-    // most maxRegions.
-    std::vector<std::vector<uint64_t>> stacks_;
+    int lineShift_ = 0;
+    SetIndexer shadow_;      // line -> (shadow set, tag)
+    SetIndexer sampling_;    // shadow set -> (phase, monitored index)
+    // Per monitored set: maxRegions tag slots in LRU order, front = MRU,
+    // of which the first stackSizes_[set] are in use.
+    std::vector<uint64_t> stackTags_;
+    std::vector<uint32_t> stackSizes_;
     std::vector<uint64_t> hits_; // hits_[d] = hits at stack distance d
     uint64_t missesBeyond_ = 0;
 };

@@ -1,5 +1,8 @@
 #include "rebudget/cache/set_assoc_cache.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "rebudget/util/logging.h"
 
 namespace rebudget::cache {
@@ -19,12 +22,18 @@ CacheConfig::validate() const
 }
 
 SetAssocCache::SetAssocCache(const CacheConfig &config, uint32_t partitions)
-    : config_(config), numPartitions_(partitions), numSets_(config.sets())
+    : config_(config), numPartitions_(partitions)
 {
     config_.validate();
     if (partitions == 0)
         util::fatal("cache requires at least one partition");
-    lines_.assign(numSets_ * config_.assoc, Line{});
+    lineShift_ = std::countr_zero(config_.lineBytes);
+    indexer_ = SetIndexer(config_.sets());
+    const uint64_t ways = config_.sets() * config_.assoc;
+    tags_.assign(ways, kInvalidTag);
+    lastTouch_.assign(ways, 0);
+    owner_.assign(ways, -1);
+    dirty_.assign(ways, 0);
     scales_.assign(partitions, 1.0);
     occupancy_.assign(partitions, 0);
     stats_.assign(partitions, PartitionStats{});
@@ -35,20 +44,20 @@ SetAssocCache::access(uint32_t partition, uint64_t addr, bool write)
 {
     REBUDGET_ASSERT(partition < numPartitions_, "partition out of range");
     ++now_;
-    const uint64_t line_addr = addr / config_.lineBytes;
-    const uint64_t set = line_addr % numSets_;
-    const uint64_t tag = line_addr / numSets_;
-    const uint64_t base = set * config_.assoc;
+    const uint64_t line_addr = addr >> lineShift_;
+    const uint64_t tag = indexer_.tag(line_addr);
+    REBUDGET_ASSERT(tag != kInvalidTag, "tag collides with invalid marker");
+    const uint64_t base = indexer_.set(line_addr) * config_.assoc;
 
     AccessResult result;
     // Hit check: a line is shared state; any partition may hit on it, but
     // in the multiprogrammed setting address spaces are disjoint so hits
     // are always on own lines.
+    const uint64_t *tags = tags_.data() + base;
     for (uint32_t w = 0; w < config_.assoc; ++w) {
-        Line &line = lines_[base + w];
-        if (line.valid && line.tag == tag) {
-            line.lastTouch = now_;
-            line.dirty = line.dirty || write;
+        if (tags[w] == tag) {
+            lastTouch_[base + w] = now_;
+            dirty_[base + w] |= static_cast<uint8_t>(write);
             result.hit = true;
             ++stats_[partition].hits;
             return result;
@@ -57,41 +66,52 @@ SetAssocCache::access(uint32_t partition, uint64_t addr, bool write)
 
     // Miss: find a victim way.
     ++stats_[partition].misses;
-    const uint32_t victim_way = findVictim(base);
-    Line &line = lines_[base + victim_way];
-    if (line.valid) {
-        result.victimPartition = line.owner;
-        REBUDGET_ASSERT(line.owner >= 0, "valid line without owner");
-        --occupancy_[static_cast<uint32_t>(line.owner)];
-        if (line.dirty) {
+    const uint64_t victim = base + findVictim(base);
+    if (tags_[victim] != kInvalidTag) {
+        const int32_t owner = owner_[victim];
+        result.victimPartition = owner;
+        REBUDGET_ASSERT(owner >= 0, "valid line without owner");
+        --occupancy_[static_cast<uint32_t>(owner)];
+        if (dirty_[victim]) {
             result.writeback = true;
-            ++stats_[static_cast<uint32_t>(line.owner)].writebacks;
+            ++stats_[static_cast<uint32_t>(owner)].writebacks;
         }
     }
-    line.valid = true;
-    line.tag = tag;
-    line.owner = static_cast<int32_t>(partition);
-    line.dirty = write;
-    line.lastTouch = now_;
+    tags_[victim] = tag;
+    owner_[victim] = static_cast<int32_t>(partition);
+    dirty_[victim] = static_cast<uint8_t>(write);
+    lastTouch_[victim] = now_;
     ++occupancy_[partition];
     return result;
 }
 
 uint32_t
-SetAssocCache::findVictim(uint64_t set_base)
+SetAssocCache::findVictim(uint64_t set_base) const
 {
     // Prefer an invalid way; otherwise evict the line with the largest
-    // scaled futility (LRU age times the owner partition's scale).
+    // scaled futility (LRU age times the owner partition's scale), the
+    // lowest way on ties.  A miss fills the first invalid way and only
+    // flush() invalidates, so the valid ways of a set are a prefix: the
+    // set has an invalid way exactly when its last way is invalid.
+    const uint32_t assoc = config_.assoc;
+    const uint64_t *tags = tags_.data() + set_base;
+    if (tags[assoc - 1] == kInvalidTag) {
+        uint32_t w = 0;
+        while (tags[w] != kInvalidTag)
+            ++w;
+        return w;
+    }
+    const uint64_t *touch = lastTouch_.data() + set_base;
+    const int32_t *owner = owner_.data() + set_base;
     double best_futility = -1.0;
     uint32_t best_way = 0;
-    for (uint32_t w = 0; w < config_.assoc; ++w) {
-        const Line &line = lines_[set_base + w];
-        if (!line.valid)
-            return w;
+    for (uint32_t w = 0; w < assoc; ++w) {
+        // An age counts accesses, so it is far below 2^63 and the
+        // (cheaper) signed conversion gives the same double.
         const double age =
-            static_cast<double>(now_ - line.lastTouch);
+            static_cast<double>(static_cast<int64_t>(now_ - touch[w]));
         const double futility =
-            age * scales_[static_cast<uint32_t>(line.owner)];
+            age * scales_[static_cast<uint32_t>(owner[w])];
         if (futility > best_futility) {
             best_futility = futility;
             best_way = w;
@@ -140,8 +160,10 @@ SetAssocCache::resetStats()
 void
 SetAssocCache::flush()
 {
-    for (auto &line : lines_)
-        line = Line{};
+    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+    std::fill(lastTouch_.begin(), lastTouch_.end(), 0);
+    std::fill(owner_.begin(), owner_.end(), -1);
+    std::fill(dirty_.begin(), dirty_.end(), 0);
     for (auto &o : occupancy_)
         o = 0;
     resetStats();

@@ -1,6 +1,7 @@
 #include "rebudget/cache/umon.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "rebudget/cache/curve_repair.h"
 #include "rebudget/util/logging.h"
@@ -20,35 +21,43 @@ UMonitor::UMonitor(const UMonConfig &config) : config_(config)
         util::fatal("UMonitor sampling ratio must be positive");
     // A full shadow cache of maxRegions capacity and maxRegions ways has
     // one set per line of a region.
-    shadowSets_ = config_.regionBytes / config_.lineBytes;
-    sampledSets_ = (shadowSets_ + config_.samplingRatio - 1) /
+    const uint64_t shadow_sets = config_.regionBytes / config_.lineBytes;
+    sampledSets_ = (shadow_sets + config_.samplingRatio - 1) /
                    config_.samplingRatio;
-    stacks_.assign(sampledSets_, {});
+    lineShift_ = std::countr_zero(config_.lineBytes);
+    shadow_ = SetIndexer(shadow_sets);
+    sampling_ = SetIndexer(config_.samplingRatio);
+    stackTags_.assign(sampledSets_ * config_.maxRegions, 0);
+    stackSizes_.assign(sampledSets_, 0);
     hits_.assign(config_.maxRegions, 0);
 }
 
 void
 UMonitor::observe(uint64_t addr)
 {
-    const uint64_t line = addr / config_.lineBytes;
-    const uint64_t set = line % shadowSets_;
-    if (set % config_.samplingRatio != 0)
+    const uint64_t line = addr >> lineShift_;
+    const uint64_t set = shadow_.set(line);
+    if (sampling_.set(set) != 0)
         return; // not a sampled set
-    const uint64_t sampled_idx = set / config_.samplingRatio;
-    const uint64_t tag = line / shadowSets_;
-    auto &stack = stacks_[sampled_idx];
-    const auto it = std::find(stack.begin(), stack.end(), tag);
-    if (it != stack.end()) {
-        const auto d = static_cast<uint32_t>(it - stack.begin());
+    const uint64_t sampled_idx = sampling_.tag(set);
+    const uint64_t tag = shadow_.tag(line);
+    uint64_t *stack = stackTags_.data() + sampled_idx * config_.maxRegions;
+    uint32_t &size = stackSizes_[sampled_idx];
+    uint32_t d = 0;
+    while (d < size && stack[d] != tag)
+        ++d;
+    if (d < size) {
         ++hits_[d];
-        stack.erase(it);
-        stack.insert(stack.begin(), tag);
     } else {
+        // Miss: the new MRU pushes the LRU entry out of a full stack.
         ++missesBeyond_;
-        stack.insert(stack.begin(), tag);
-        if (stack.size() > config_.maxRegions)
-            stack.pop_back();
+        if (size < config_.maxRegions)
+            ++size;
+        d = size - 1;
     }
+    // Move the tag at depth d (or the new tag) to the MRU slot.
+    std::copy_backward(stack, stack + d, stack + d + 1);
+    stack[0] = tag;
 }
 
 MissCurve
@@ -91,8 +100,7 @@ UMonitor::hitsAtDistance(uint32_t d) const
 void
 UMonitor::reset()
 {
-    for (auto &s : stacks_)
-        s.clear();
+    std::fill(stackSizes_.begin(), stackSizes_.end(), 0);
     resetHistogram();
 }
 

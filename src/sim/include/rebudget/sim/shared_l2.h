@@ -74,6 +74,7 @@ class SharedL2
     cache::FutilityController controller_;
     std::vector<double> fracA_;           // Talus stream split per core
     std::vector<double> targets_;         // regions per core
+    int lineShift_;
 };
 
 } // namespace rebudget::sim

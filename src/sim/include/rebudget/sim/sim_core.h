@@ -88,6 +88,9 @@ class SimCore
     uint32_t id() const { return id_; }
 
   private:
+    /** References generated and filtered per block of runEpoch(). */
+    static constexpr size_t kBlockAccesses = 256;
+
     uint32_t id_;
     app::AppParams params_;
     CmpConfig config_;

@@ -1,6 +1,7 @@
 #include "rebudget/sim/shared_l2.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "rebudget/cache/talus.h"
@@ -11,7 +12,8 @@ namespace rebudget::sim {
 SharedL2::SharedL2(const CmpConfig &config)
     : config_(config), cache_(config.l2Config(), 2 * config.cores),
       controller_(cache_), fracA_(config.cores, 0.0),
-      targets_(config.cores, 0.0)
+      targets_(config.cores, 0.0),
+      lineShift_(std::countr_zero(cache_.config().lineBytes))
 {
     // Start from an equal static partitioning: shadow partition B holds
     // the whole share, A is idle.
@@ -54,7 +56,7 @@ bool
 SharedL2::access(uint32_t core, uint64_t addr, bool write)
 {
     REBUDGET_ASSERT(core < config_.cores, "core out of range");
-    const uint64_t line = addr / config_.lineBytes;
+    const uint64_t line = addr >> lineShift_;
     const uint32_t part =
         2 * core + (cache::talusRouteToA(line, fracA_[core]) ? 0 : 1);
     const cache::AccessResult r = cache_.access(part, addr, write);

@@ -1,5 +1,8 @@
 #include "rebudget/sim/sim_core.h"
 
+#include <algorithm>
+#include <array>
+
 #include "rebudget/util/logging.h"
 
 namespace rebudget::sim {
@@ -19,15 +22,32 @@ SimCore::runEpoch(double f_ghz, SharedL2 &l2, double mem_lat_ns,
     uint64_t l2_accesses = 0;
     uint64_t l2_misses = 0;
     const cache::PartitionStats wb_before = l2.coreStats(id_);
-    for (uint64_t k = 0; k < accesses; ++k) {
-        const trace::Access a = gen_->next();
-        const cache::AccessResult l1r = l1_.access(0, a.addr, a.write);
-        if (l1r.hit)
-            continue;
-        umon_.observe(a.addr);
-        ++l2_accesses;
-        if (!l2.access(id_, a.addr, a.write))
-            ++l2_misses;
+    // Work in blocks: generate the references, filter them through the
+    // private L1 (misses feed the UMON), then apply the misses to the
+    // shared L2 in their original order.  The L1 and UMON are private
+    // and the L2 sees the same accesses in the same order as one
+    // reference at a time; each stage just runs as a tight loop.
+    std::array<trace::Access, kBlockAccesses> block;
+    std::array<trace::Access, kBlockAccesses> misses;
+    for (uint64_t done = 0; done < accesses;) {
+        const auto n = static_cast<size_t>(
+            std::min<uint64_t>(kBlockAccesses, accesses - done));
+        done += n;
+        for (size_t i = 0; i < n; ++i)
+            block[i] = gen_->next();
+        size_t m = 0;
+        for (size_t i = 0; i < n; ++i) {
+            const trace::Access &a = block[i];
+            if (l1_.access(0, a.addr, a.write).hit)
+                continue;
+            umon_.observe(a.addr);
+            misses[m++] = a;
+        }
+        for (size_t i = 0; i < m; ++i) {
+            if (!l2.access(id_, misses[i].addr, misses[i].write))
+                ++l2_misses;
+        }
+        l2_accesses += m;
     }
     const uint64_t writebacks =
         l2.coreStats(id_).writebacks - wb_before.writebacks;

@@ -12,9 +12,12 @@
  * statistical quality.
  */
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -37,10 +40,27 @@ class Rng
     explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
     /** @return the next raw 64-bit value. */
-    uint64_t next();
+    uint64_t
+    next()
+    {
+        const uint64_t result = std::rotl(s_[0] + s_[3], 23) + s_[0];
+        const uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+        return result;
+    }
 
     /** @return a uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 random mantissa bits -> [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** @return a uniform double in [lo, hi). */
     double uniform(double lo, double hi);
@@ -52,7 +72,7 @@ class Rng
     int64_t uniformInt(int64_t lo, int64_t hi);
 
     /** @return true with probability p. */
-    bool bernoulli(double p);
+    bool bernoulli(double p) { return uniform() < p; }
 
     /** @return a sample from a normal distribution (Box-Muller). */
     double normal(double mean, double stddev);
@@ -94,29 +114,79 @@ class Rng
 /**
  * Precomputed Zipf(alpha) sampler over {0, ..., n-1}.
  *
- * Uses an inverse-CDF table; construction is O(n), sampling O(log n).
- * alpha == 0 degenerates to the uniform distribution.
+ * Uses an inverse-CDF table searched through a guide table (Chen and
+ * Asau): m = 2^k >= n buckets, where bucket j holds the rank of the
+ * first CDF entry >= j/m.  Because m is a power of two, u*m and j/m are
+ * exact, so a draw u in bucket j = floor(u*m) has its rank pinned to
+ * [guide[j], guide[j+1]] and a binary search of that range returns
+ * exactly the rank a search of the whole CDF would.  Construction is
+ * O(n); a draw searches about one CDF entry.  alpha == 0 degenerates to
+ * the uniform distribution.
+ *
+ * The tables are immutable and shared by every sampler with the same
+ * (n, alpha) that is alive at the same time; the last sampler to go
+ * frees them.
  */
 class ZipfSampler
 {
   public:
+    /** Largest supported population (ranks are stored in 32 bits). */
+    static constexpr uint64_t kMaxPopulation = uint64_t{1} << 32;
+
     /**
-     * @param n     population size (> 0)
+     * @param n     population size (> 0, <= kMaxPopulation)
      * @param alpha skew exponent (>= 0)
      */
     ZipfSampler(size_t n, double alpha);
 
     /** Draw one sample in [0, n). */
-    size_t sample(Rng &rng) const;
+    size_t
+    sample(Rng &rng) const
+    {
+        return rankOf(rng.uniform());
+    }
+
+    /**
+     * @return the rank a uniform draw u in [0, 1) maps to: the first k
+     * with cdf()[k] >= u.
+     */
+    size_t
+    rankOf(double u) const
+    {
+        const Tables &t = *tables_;
+        const auto j = static_cast<size_t>(u * t.buckets);
+        const double *cdf = t.cdf.data();
+        return static_cast<size_t>(
+            std::lower_bound(cdf + t.guide[j], cdf + t.guide[j + 1], u) -
+            cdf);
+    }
 
     /** @return the population size. */
-    size_t size() const { return cdf_.size(); }
+    size_t size() const { return tables_->cdf.size(); }
 
     /** @return probability mass of rank k. */
     double pmf(size_t k) const;
 
+    /** @return the cumulative distribution, one entry per rank. */
+    const std::vector<double> &cdf() const { return tables_->cdf; }
+
+    /** @return the number of guide-table buckets (a power of two). */
+    size_t buckets() const { return tables_->guide.size() - 1; }
+
   private:
-    std::vector<double> cdf_;
+    struct Tables
+    {
+        std::vector<double> cdf;
+        // guide[j] = first rank with cdf >= j / buckets, j = 0..buckets.
+        std::vector<uint32_t> guide;
+        double buckets = 0.0;
+    };
+
+    static std::unique_ptr<Tables> buildTables(size_t n, double alpha);
+    static std::shared_ptr<const Tables> sharedTables(size_t n,
+                                                      double alpha);
+
+    std::shared_ptr<const Tables> tables_;
 };
 
 } // namespace rebudget::util

@@ -1,7 +1,11 @@
 #include "rebudget/util/rng.h"
 
-#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "rebudget/util/logging.h"
 
@@ -17,12 +21,6 @@ splitmix64(uint64_t &x)
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
-}
-
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
 }
 
 } // namespace
@@ -66,27 +64,6 @@ Rng::forStream(uint64_t seed, std::initializer_list<uint64_t> keys)
     return Rng(h);
 }
 
-uint64_t
-Rng::next()
-{
-    const uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-    const uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 random mantissa bits -> [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
 double
 Rng::uniform(double lo, double hi)
 {
@@ -112,12 +89,6 @@ Rng::uniformInt(int64_t lo, int64_t hi)
     REBUDGET_ASSERT(lo <= hi, "uniformInt requires lo <= hi");
     const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
     return lo + static_cast<int64_t>(uniformInt(span));
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    return uniform() < p;
 }
 
 double
@@ -159,32 +130,91 @@ ZipfSampler::ZipfSampler(size_t n, double alpha)
 {
     if (n == 0)
         fatal("ZipfSampler requires a non-empty population");
+    if (n > kMaxPopulation)
+        fatal("ZipfSampler population %zu exceeds 2^32", n);
     if (alpha < 0.0)
         fatal("ZipfSampler requires alpha >= 0 (got %f)", alpha);
-    cdf_.resize(n);
+    tables_ = sharedTables(n, alpha);
+}
+
+std::unique_ptr<ZipfSampler::Tables>
+ZipfSampler::buildTables(size_t n, double alpha)
+{
+    auto tables = std::make_unique<Tables>();
+    auto &cdf = tables->cdf;
+    cdf.resize(n);
     double sum = 0.0;
     for (size_t k = 0; k < n; ++k) {
         sum += 1.0 / std::pow(static_cast<double>(k + 1), alpha);
-        cdf_[k] = sum;
+        cdf[k] = sum;
     }
-    for (auto &c : cdf_)
+    for (auto &c : cdf)
         c /= sum;
-    cdf_.back() = 1.0; // guard against rounding
+    cdf.back() = 1.0; // guard against rounding
+
+    const size_t buckets = std::bit_ceil(n);
+    tables->buckets = static_cast<double>(buckets);
+    tables->guide.resize(buckets + 1);
+    size_t rank = 0;
+    for (size_t j = 0; j <= buckets; ++j) {
+        const double edge = static_cast<double>(j) / tables->buckets;
+        while (rank < n - 1 && cdf[rank] < edge)
+            ++rank;
+        tables->guide[j] = static_cast<uint32_t>(rank);
+    }
+    return tables;
 }
 
-size_t
-ZipfSampler::sample(Rng &rng) const
+std::shared_ptr<const ZipfSampler::Tables>
+ZipfSampler::sharedTables(size_t n, double alpha)
 {
-    const double u = rng.uniform();
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    return static_cast<size_t>(it - cdf_.begin());
+    // Weak memo: generators with the same (n, alpha) -- every core
+    // running the same application -- share one table.  The last
+    // sampler to go frees the table and erases its entry, so nothing
+    // outlives it.  The memo itself is never destroyed, so a sampler
+    // released during static destruction still finds it.
+    using Key = std::pair<size_t, uint64_t>;
+    struct Memo
+    {
+        std::mutex mutex;
+        std::map<Key, std::weak_ptr<const Tables>> entries;
+    };
+    static Memo &memo = *new Memo;
+    uint64_t alpha_bits = 0;
+    std::memcpy(&alpha_bits, &alpha, sizeof alpha_bits);
+    const Key key{n, alpha_bits};
+    {
+        const std::lock_guard<std::mutex> lock(memo.mutex);
+        const auto it = memo.entries.find(key);
+        if (it != memo.entries.end()) {
+            if (auto hit = it->second.lock())
+                return hit;
+        }
+    }
+
+    // Built and wrapped outside the lock, which the deleter takes.
+    const std::shared_ptr<const Tables> built(
+        buildTables(n, alpha).release(), [key](const Tables *t) {
+            delete t;
+            const std::lock_guard<std::mutex> lock(memo.mutex);
+            const auto it = memo.entries.find(key);
+            if (it != memo.entries.end() && it->second.expired())
+                memo.entries.erase(it);
+        });
+    const std::lock_guard<std::mutex> lock(memo.mutex);
+    auto &slot = memo.entries[key];
+    if (auto raced = slot.lock())
+        return raced; // `built` is dropped after the lock is released
+    slot = built;
+    return built;
 }
 
 double
 ZipfSampler::pmf(size_t k) const
 {
-    REBUDGET_ASSERT(k < cdf_.size(), "pmf rank out of range");
-    return k == 0 ? cdf_[0] : cdf_[k] - cdf_[k - 1];
+    const auto &cdf = tables_->cdf;
+    REBUDGET_ASSERT(k < cdf.size(), "pmf rank out of range");
+    return k == 0 ? cdf[0] : cdf[k] - cdf[k - 1];
 }
 
 } // namespace rebudget::util

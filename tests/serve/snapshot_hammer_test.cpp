@@ -44,8 +44,10 @@ struct ReaderOutcome
 
 void
 readerLoop(const serve::ServerCore &core, const std::atomic<bool> &stop,
-           std::uint64_t streamSeed, ReaderOutcome &out)
+           std::atomic<int> &running, std::uint64_t streamSeed,
+           ReaderOutcome &out)
 {
+    running.fetch_add(1);
     serve::AllocationReply reply;
     serve::ErrorReply err;
     std::vector<std::uint64_t> lastTick(kMarkets, 0);
@@ -111,15 +113,20 @@ TEST(SnapshotHammer, ConcurrentReadsNeverTearAcrossTicksAndChurn)
     core.tick(); // publish every market before readers start
 
     std::atomic<bool> stop{false};
+    std::atomic<int> running{0};
     constexpr int kReaders = 4;
     ReaderOutcome outcomes[kReaders];
     std::vector<std::thread> readers;
     readers.reserve(kReaders);
     for (int r = 0; r < kReaders; ++r) {
-        readers.emplace_back([&core, &stop, r, &outcomes] {
-            readerLoop(core, stop, 0x51ed + 31 * r, outcomes[r]);
+        readers.emplace_back([&core, &stop, &running, r, &outcomes] {
+            readerLoop(core, stop, running, 0x51ed + 31 * r, outcomes[r]);
         });
     }
+    // Tick only once every reader is running: on a loaded machine the
+    // readers could otherwise first run after the last tick.
+    while (running.load() < kReaders)
+        std::this_thread::yield();
 
     const std::string churnApp = eval::syntheticAppNames(1, 0xc4)[0];
     for (std::uint64_t tick = 0; tick < kTicks; ++tick) {

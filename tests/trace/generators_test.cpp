@@ -96,6 +96,17 @@ TEST(ZipfGen, HotLinesDominate)
     EXPECT_GT(static_cast<double>(head) / n, 0.3);
 }
 
+TEST(ZipfGen, RejectsFootprintBeyond32BitLines)
+{
+    // Ranks map to lines through 32-bit entries; the check runs before
+    // any table is sized from the footprint.
+    const uint64_t lines = (uint64_t{1} << 32) + 1;
+    EXPECT_THROW(ZipfWorkingSetGen(0, lines * kLine, kLine, 1.0, 0.0, 1),
+                 util::FatalError);
+    EXPECT_THROW(ZipfWorkingSetGen(0, 4 * kLine, 0, 1.0, 0.0, 1),
+                 util::FatalError);
+}
+
 TEST(ZipfGen, FootprintReported)
 {
     ZipfWorkingSetGen gen(0, 512 * kLine, kLine, 0.8, 0.0, 1);

@@ -1,8 +1,11 @@
 #include "rebudget/util/rng.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <memory>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -257,6 +260,101 @@ TEST(Zipf, RejectsEmptyPopulation)
 TEST(Zipf, RejectsNegativeAlpha)
 {
     EXPECT_THROW(ZipfSampler(4, -0.1), FatalError);
+}
+
+// The guide table must return exactly the rank a full-CDF lower_bound
+// returns (the pre-guide sampler), for random draws and for every
+// bucket edge j/m and its nextafter neighbours.
+TEST(Zipf, GuideTableMatchesFullCdfSearch)
+{
+    Rng rng(2016);
+    for (const size_t n : {1u, 2u, 17u, 1000u, 32768u, 32769u}) {
+        for (const double alpha : {0.0, 0.7, 1.1}) {
+            const ZipfSampler z(n, alpha);
+            const std::vector<double> &cdf = z.cdf();
+            ASSERT_EQ(cdf.size(), n);
+            const size_t m = z.buckets();
+            ASSERT_GE(m, n);
+            ASSERT_EQ(m & (m - 1), 0u) << "bucket count must be 2^k";
+            auto check = [&](double u) {
+                ASSERT_GE(u, 0.0);
+                ASSERT_LT(u, 1.0);
+                const auto full = static_cast<size_t>(
+                    std::lower_bound(cdf.begin(), cdf.end(), u) -
+                    cdf.begin());
+                ASSERT_EQ(z.rankOf(u), full)
+                    << "n=" << n << " alpha=" << alpha << " u=" << u;
+            };
+            for (int i = 0; i < 100000; ++i)
+                check(rng.uniform());
+            for (size_t j = 0; j < m; ++j) {
+                const double edge =
+                    static_cast<double>(j) / static_cast<double>(m);
+                check(edge);
+                if (j > 0)
+                    check(std::nextafter(edge, 0.0));
+                check(std::nextafter(edge, 1.0));
+            }
+            check(std::nextafter(1.0, 0.0));
+        }
+    }
+}
+
+TEST(Zipf, SamplesEqualRankOfTheDraw)
+{
+    const ZipfSampler z(1000, 0.9);
+    Rng a(5);
+    Rng b(5);
+    for (int i = 0; i < 10000; ++i)
+        EXPECT_EQ(z.sample(a), z.rankOf(b.uniform()));
+}
+
+TEST(Zipf, SamplersWithSameShapeShareTables)
+{
+    const ZipfSampler a(4096, 0.8);
+    const ZipfSampler b(4096, 0.8);
+    const ZipfSampler c(4096, 0.9);
+    const ZipfSampler d(4095, 0.8);
+    EXPECT_EQ(a.cdf().data(), b.cdf().data());
+    EXPECT_NE(a.cdf().data(), c.cdf().data());
+    EXPECT_NE(a.cdf().data(), d.cdf().data());
+    // A copy keeps the shared tables alive after the original is gone.
+    auto owner = std::make_unique<ZipfSampler>(513, 1.3);
+    const ZipfSampler copy = *owner;
+    const std::vector<double> expected = owner->cdf();
+    owner.reset();
+    EXPECT_EQ(copy.cdf(), expected);
+}
+
+TEST(Zipf, ConcurrentSamplersShareAndReleaseTables)
+{
+    // Threads build and drop samplers of the same shapes at once (as a
+    // parallel simulation sweep does); every sampler must see the one
+    // CDF a lone sampler builds.
+    const std::vector<double> expected[2] = {ZipfSampler(3000, 0.9).cdf(),
+                                             ZipfSampler(700, 1.2).cdf()};
+    std::vector<std::thread> threads;
+    std::atomic<int> mismatches{0};
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < 200; ++i) {
+                const int shape = (i + t) % 2;
+                const ZipfSampler z = shape == 0 ? ZipfSampler(3000, 0.9)
+                                                 : ZipfSampler(700, 1.2);
+                if (z.cdf() != expected[shape])
+                    ++mismatches;
+            }
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(Zipf, RejectsPopulationBeyond32BitRanks)
+{
+    EXPECT_THROW(ZipfSampler(ZipfSampler::kMaxPopulation + 1, 1.0),
+                 FatalError);
 }
 
 } // namespace
