@@ -8,6 +8,42 @@
 
 namespace rebudget::app {
 
+namespace {
+
+/**
+ * @return the index of the first knot that is non-finite or not
+ * strictly above its predecessor, or knots.size() when the axis is a
+ * valid grid axis.  A repeated knot would give cellIndex() a
+ * zero-width cell, and interpolating across it divides by zero.
+ */
+size_t
+firstBadKnot(const std::vector<double> &knots)
+{
+    for (size_t i = 0; i < knots.size(); ++i) {
+        if (!std::isfinite(knots[i]) || (i > 0 && knots[i] <= knots[i - 1]))
+            return i;
+    }
+    return knots.size();
+}
+
+/** Fatal naming the offending knot unless `knots` strictly increase. */
+void
+requireStrictlyIncreasing(const std::vector<double> &knots,
+                          const char *axis)
+{
+    const size_t bad = firstBadKnot(knots);
+    if (bad == knots.size())
+        return;
+    if (!std::isfinite(knots[bad]))
+        util::fatal("%s knot %zu (%g) must be finite", axis, bad,
+                    knots[bad]);
+    util::fatal("%s knots must be strictly increasing: knot %zu (%g) "
+                "is not above knot %zu (%g)",
+                axis, bad, knots[bad], bad - 1, knots[bad - 1]);
+}
+
+} // namespace
+
 GridSanitizeReport
 sanitizeUtilityGrid(std::vector<double> &grid, size_t nc, size_t np)
 {
@@ -81,9 +117,9 @@ AppUtilityModel::AppUtilityModel(const AppProfile &profile,
 {
     if (options.cacheRegions.size() < 2 || options.freqsGhz.size() < 2)
         util::fatal("utility grid needs at least 2 points per axis");
+    requireStrictlyIncreasing(options.cacheRegions, "cache grid");
+    requireStrictlyIncreasing(options.freqsGhz, "frequency grid");
     cacheKnots_ = options.cacheRegions;
-    if (!std::is_sorted(cacheKnots_.begin(), cacheKnots_.end()))
-        util::fatal("cache grid must be sorted");
 
     // Power knots: watts at each sampled frequency (strictly increasing
     // because core power is strictly increasing in frequency).
@@ -170,16 +206,6 @@ AppUtilityModel::AppUtilityModel(RawUtilityGrid raw)
         sanitizeReport_.flatGrid = true;
     };
 
-    const auto strictly_increasing = [](const std::vector<double> &knots) {
-        for (size_t i = 0; i < knots.size(); ++i) {
-            if (!std::isfinite(knots[i]))
-                return false;
-            if (i > 0 && knots[i] <= knots[i - 1])
-                return false;
-        }
-        return true;
-    };
-
     if (cacheKnots_.size() < 2 || powerKnots_.size() < 2) {
         degrade(util::SolveStatus::error(
             util::StatusCode::InvalidArgument,
@@ -187,8 +213,8 @@ AppUtilityModel::AppUtilityModel(RawUtilityGrid raw)
             name_.c_str(), cacheKnots_.size(), powerKnots_.size()));
         return;
     }
-    if (!strictly_increasing(cacheKnots_) ||
-        !strictly_increasing(powerKnots_)) {
+    if (firstBadKnot(cacheKnots_) != cacheKnots_.size() ||
+        firstBadKnot(powerKnots_) != powerKnots_.size()) {
         degrade(util::SolveStatus::error(
             util::StatusCode::InvalidArgument,
             "raw grid '%s' knots must be finite and strictly increasing",

@@ -79,8 +79,10 @@ scoreOutcome(const core::AllocationProblem &problem,
     s.budgetRounds = outcome.budgetRounds;
     if (!s.status.ok())
         return s; // failed allocation: nothing to score
-    s.efficiency = market::efficiency(problem.models, outcome.alloc);
-    s.envyFreeness = market::envyFreeness(problem.models, outcome.alloc);
+    const market::OwnAndBest terms =
+        market::ownAndBestUtilities(problem.models, outcome.alloc);
+    s.efficiency = terms.efficiency();
+    s.envyFreeness = terms.envyFreeness();
     if (!outcome.lambdas.empty()) {
         const auto mur = market::marketUtilityRange(outcome.lambdas);
         if (mur.ok())

@@ -438,10 +438,12 @@ BundleRunner::evaluateChurn(const workloads::Bundle &bundle,
             rec.scored = true;
             rec.converged = out.converged;
             res.converged = res.converged && out.converged;
-            rec.efficiency =
-                market::efficiency(problem.models, out.alloc);
-            rec.envyFreeness =
-                market::envyFreeness(problem.models, out.alloc);
+            // One kernel call scores the epoch and feeds the lifetime
+            // sums below.
+            const market::OwnAndBest terms =
+                market::ownAndBestUtilities(problem.models, out.alloc);
+            rec.efficiency = terms.efficiency();
+            rec.envyFreeness = terms.envyFreeness();
             if (!out.lambdas.empty()) {
                 if (const auto mur =
                         market::marketUtilityRange(out.lambdas);
@@ -464,17 +466,8 @@ BundleRunner::evaluateChurn(const workloads::Bundle &bundle,
             for (size_t i = 0; i < n; ++i) {
                 const core::PlayerId id = roster.idAt(i);
                 TenantAccum &a = accum[id];
-                const double own =
-                    problem.models[i]->utility(out.alloc[i]);
-                double best = own;
-                for (size_t j = 0; j < n; ++j) {
-                    if (j != i)
-                        best = std::max(
-                            best,
-                            problem.models[i]->utility(out.alloc[j]));
-                }
-                a.utilitySum += own;
-                a.bestOtherSum += best;
+                a.utilitySum += terms.own[i];
+                a.bestOtherSum += terms.best[i];
                 if (i < out.budgets.size()) {
                     a.budgetSum += out.budgets[i];
                     state.lastBudgets[id] = out.budgets[i];

@@ -37,6 +37,47 @@ std::vector<double> perPlayerUtilities(
     const std::vector<const UtilityModel *> &models,
     const util::Matrix<double> &alloc);
 
+/** Per-player terms of Definitions 1 and 3 for one allocation. */
+struct OwnAndBest
+{
+    /** own[i] = U_i(r_i). */
+    std::vector<double> own;
+    /** best[i] = max_j U_i(r_j); j ranges over every player, i included. */
+    std::vector<double> best;
+
+    /** @return efficiency (Definition 1): the sum of own, in order. */
+    double efficiency() const;
+    /** @return envy-freeness (Definition 3) of own against best. */
+    double envyFreeness() const;
+};
+
+/**
+ * The scoring kernel behind efficiency, envy-freeness and the churn
+ * engine's lifetime sums: fills own[i] = U_i(r_i) and
+ * best[i] = max_j U_i(r_j) for every player.
+ *
+ * Cost: one utility() call per distinct (model pointer, allocation row)
+ * pair, i.e. M x R calls for M distinct model pointers and R bitwise
+ * distinct rows, plus O(N) expected hashing to find both, N x R exact
+ * max operations and O(N + R) memory.  The naive N x N loop's cost is
+ * the worst case (every model and every row distinct); a 64-core fig04
+ * bundle shares catalog models by pointer (16.4 distinct of 64 on
+ * average) and its outcomes have 13.4 distinct rows on average.
+ *
+ * Identity: two players are treated as one model only when they hold
+ * the SAME pointer, and two rows as one only when every element is
+ * bitwise equal (so 0.0 and -0.0 are different rows).  Separate copies
+ * of an equal model are simply scored separately.  This relies on the
+ * UtilityModel contract that utility() is a pure function of the row
+ * (immutable models, no mutable caches).  Under that contract every
+ * output bit equals the naive loop's: the max is folded in the naive
+ * order with repeats dropped, and a repeat never replaces the running
+ * max.
+ */
+OwnAndBest ownAndBestUtilities(
+    const std::vector<const UtilityModel *> &models,
+    const util::Matrix<double> &alloc);
+
 /** @return efficiency = sum of utilities (Definition 1 / Equation 5). */
 double efficiency(const std::vector<const UtilityModel *> &models,
                   const util::Matrix<double> &alloc);
@@ -46,6 +87,7 @@ double efficiency(const std::vector<const UtilityModel *> &models,
  * i compute U_i(r_i) / max_j U_i(r_j) (the max includes j = i, so each
  * term is <= 1) and return the minimum over players.  Players whose
  * utility is zero everywhere contribute 1 (nothing to envy).
+ * Computed as ownAndBestUtilities(models, alloc).envyFreeness().
  */
 double envyFreeness(const std::vector<const UtilityModel *> &models,
                     const util::Matrix<double> &alloc);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "rebudget/util/logging.h"
 
@@ -41,6 +43,46 @@ clampedRange(const std::vector<double> &values, const char *what)
     return mn / mx;
 }
 
+/** One multiply-xorshift round: spreads `x` into the high and low bits. */
+inline uint64_t
+mixBits(uint64_t h, uint64_t x)
+{
+    h = (h ^ x) * 0x9e3779b97f4a7c15ULL;
+    return h ^ (h >> 32);
+}
+
+/**
+ * Numbers the keys of indices 0..n-1 in order of first occurrence:
+ * cls[i] is the class of i's key and reps[c] the first index of class
+ * c.  Open addressing over `cap` slots (a power of two >= 2n);
+ * `hash(i)` and `same(a, b)` see the keys through their indices.
+ * @return the number of classes.  O(n) expected.
+ */
+template <typename Hash, typename Same>
+size_t
+firstOccurrenceClasses(size_t n, Hash hash, Same same, uint32_t *slots,
+                       size_t cap, uint32_t *cls, uint32_t *reps)
+{
+    constexpr uint32_t kEmpty = UINT32_MAX;
+    std::fill(slots, slots + cap, kEmpty);
+    uint32_t classes = 0;
+    for (size_t i = 0; i < n; ++i) {
+        for (size_t s = hash(i) & (cap - 1);; s = (s + 1) & (cap - 1)) {
+            const uint32_t c = slots[s];
+            if (c == kEmpty) {
+                slots[s] = cls[i] = classes;
+                reps[classes++] = static_cast<uint32_t>(i);
+                break;
+            }
+            if (same(reps[c], i)) {
+                cls[i] = c;
+                break;
+            }
+        }
+    }
+    return classes;
+}
+
 } // namespace
 
 /*
@@ -68,6 +110,94 @@ perPlayerUtilities(const std::vector<const UtilityModel *> &models,
 }
 
 double
+OwnAndBest::efficiency() const
+{
+    double sum = 0.0;
+    for (const double u : own)
+        sum += u;
+    return sum;
+}
+
+double
+OwnAndBest::envyFreeness() const
+{
+    return lifetimeEnvyFreeness(own, best);
+}
+
+OwnAndBest
+ownAndBestUtilities(const std::vector<const UtilityModel *> &models,
+                    const util::Matrix<double> &alloc)
+{
+    REBUDGET_ASSERT(models.size() == alloc.size(),
+                    "ownAndBestUtilities: players/allocations mismatch");
+    const size_t n = models.size();
+    REBUDGET_ASSERT(n < UINT32_MAX, "ownAndBestUtilities: too many players");
+    const size_t cols = alloc.cols();
+    size_t cap = 2;
+    while (cap < 2 * n)
+        cap <<= 1;
+    // One buffer: model class and row class per player, the first
+    // player of each model and row class, and the hash slots.
+    std::vector<uint32_t> buffer(4 * n + cap);
+    uint32_t *model_of = buffer.data();
+    uint32_t *row_of = model_of + n;
+    uint32_t *model_reps = row_of + n;
+    uint32_t *row_reps = model_reps + n;
+    uint32_t *slots = row_reps + n;
+    const size_t n_models = firstOccurrenceClasses(
+        n,
+        [&](size_t i) {
+            return mixBits(0, reinterpret_cast<uintptr_t>(models[i]));
+        },
+        [&](size_t a, size_t b) { return models[a] == models[b]; }, slots,
+        cap, model_of, model_reps);
+    const size_t n_rows = firstOccurrenceClasses(
+        n,
+        [&](size_t i) {
+            const double *row = alloc.row(i);
+            uint64_t h = 0;
+            for (size_t c = 0; c < cols; ++c) {
+                uint64_t bits = 0;
+                std::memcpy(&bits, row + c, sizeof bits);
+                h = mixBits(h, bits);
+            }
+            return h;
+        },
+        [&](size_t a, size_t b) {
+            return cols == 0 || std::memcmp(alloc.row(a), alloc.row(b),
+                                            cols * sizeof(double)) == 0;
+        },
+        slots, cap, row_of, row_reps);
+
+    // One distinct model at a time: its utility at every distinct row
+    // (one call per distinct pair), then the players holding it.  Rows
+    // are classed in first-occurrence order, so each player's fold is
+    // the naive j = 0..N-1 fold minus repeated rows; a repeat never
+    // wins a strict `<`, hence the same bits (signed zeros and NaNs
+    // included).
+    OwnAndBest out;
+    out.own.resize(n);
+    out.best.resize(n);
+    std::vector<double> u(n_rows);
+    for (size_t m = 0; m < n_models; ++m) {
+        const UtilityModel &model = *models[model_reps[m]];
+        for (size_t r = 0; r < n_rows; ++r)
+            u[r] = model.utility(alloc[row_reps[r]]);
+        for (size_t i = model_reps[m]; i < n; ++i) {
+            if (model_of[i] != m)
+                continue;
+            const double own = u[row_of[i]];
+            double best = own;
+            for (const double v : u)
+                best = std::max(best, v);
+            out.own[i] = own;
+            out.best[i] = best;
+        }
+    }
+    return out;
+}
+
+double
 efficiency(const std::vector<const UtilityModel *> &models,
            const util::Matrix<double> &alloc)
 {
@@ -81,23 +211,7 @@ double
 envyFreeness(const std::vector<const UtilityModel *> &models,
              const util::Matrix<double> &alloc)
 {
-    REBUDGET_ASSERT(models.size() == alloc.size(),
-                    "envyFreeness: players/allocations mismatch");
-    double ef = 1.0;
-    for (size_t i = 0; i < models.size(); ++i) {
-        const double own = models[i]->utility(alloc[i]);
-        double best_other = own;
-        for (size_t j = 0; j < alloc.size(); ++j) {
-            if (j == i)
-                continue;
-            best_other = std::max(best_other,
-                                  models[i]->utility(alloc[j]));
-        }
-        if (best_other <= 0.0)
-            continue; // utility zero everywhere: nothing to envy
-        ef = std::min(ef, own / best_other);
-    }
-    return ef;
+    return ownAndBestUtilities(models, alloc).envyFreeness();
 }
 
 util::Expected<double>

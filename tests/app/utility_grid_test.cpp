@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "rebudget/app/catalog.h"
 #include "rebudget/app/utility.h"
 #include "rebudget/power/power_model.h"
@@ -86,6 +89,37 @@ TEST(UtilityGrid, RejectsDegenerateGrids)
     bad.cacheRegions = {4, 2, 8}; // unsorted
     EXPECT_THROW(AppUtilityModel(profile, powerModel(), bad),
                  util::FatalError);
+}
+
+TEST(UtilityGrid, RejectsRepeatedKnots)
+{
+    // A repeated knot used to reach the grid: cellIndex() clamped into
+    // the zero-width cell and utility({100, 100}) came out NaN on an
+    // unconvexified model.
+    const auto &profile = findCatalogProfile("mcf");
+    const auto expect_fatal = [&](const UtilityGridOptions &opts,
+                                  const std::string &needle) {
+        try {
+            const AppUtilityModel m(profile, powerModel(), opts);
+            ADD_FAILURE() << "accepted a grid with a bad knot";
+        } catch (const util::FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find(needle),
+                      std::string::npos)
+                << err.what();
+        }
+    };
+    UtilityGridOptions bad;
+    bad.convexify = false;
+    bad.cacheRegions = {1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 16};
+    expect_fatal(bad, "cache grid knots must be strictly increasing: "
+                      "knot 10 (16) is not above knot 9 (16)");
+    bad = UtilityGridOptions{};
+    bad.freqsGhz = {0.8, 1.2, 1.2, 2.0};
+    expect_fatal(bad, "frequency grid knots must be strictly increasing: "
+                      "knot 2 (1.2)");
+    bad = UtilityGridOptions{};
+    bad.cacheRegions = {1, 2, std::nan(""), 4};
+    expect_fatal(bad, "cache grid knot 2 (nan) must be finite");
 }
 
 TEST(UtilityGrid, GridValueAccessorMatchesUtility)
