@@ -179,15 +179,6 @@ using namespace rebudget;
 
 namespace {
 
-std::uint64_t
-parseFlag(const char *flag, const char *value, std::uint64_t max)
-{
-    const auto parsed = util::parseUnsigned(value, max);
-    if (!parsed.ok())
-        util::fatal("%s: %s", flag, parsed.status().message().c_str());
-    return parsed.value();
-}
-
 // ---------------------------------------------------------------------
 // Part B: read-path capacity sweep.
 // ---------------------------------------------------------------------
@@ -827,20 +818,20 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--markets")
-            markets = parseFlag("--markets", value(), 1u << 16);
+            markets = util::flagUnsigned(arg, value(), 1u << 16);
         else if (arg == "--players")
-            players = parseFlag("--players", value(), 1u << 10);
+            players = util::flagUnsigned(arg, value(), 1u << 10);
         else if (arg == "--shards")
-            config.shards = parseFlag("--shards", value(), 1u << 10);
+            config.shards = util::flagUnsigned(arg, value(), 1u << 10);
         else if (arg == "--jobs")
             config.jobs = static_cast<unsigned>(
-                parseFlag("--jobs", value(), 1u << 12));
+                util::flagUnsigned(arg, value(), 1u << 12));
         else if (arg == "--warmup")
-            warmup = parseFlag("--warmup", value(), 1u << 20);
+            warmup = util::flagUnsigned(arg, value(), 1u << 20);
         else if (arg == "--ticks")
-            measured = parseFlag("--ticks", value(), 1u << 20);
+            measured = util::flagUnsigned(arg, value(), 1u << 20);
         else if (arg == "--seed")
-            seed = parseFlag("--seed", value(), ~0ull);
+            seed = util::flagUnsigned(arg, value(), ~0ull);
         else if (arg == "--smoke") {
             markets = 64;
             players = 8;

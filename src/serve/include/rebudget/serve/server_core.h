@@ -242,30 +242,30 @@ class ServerCore
 
     ServeConfig config_;
     std::vector<std::unique_ptr<Shard>> shards_;
-    util::ThreadPool pool_;
     std::uint64_t epoch_ = 0;
     std::vector<std::unique_ptr<ShardQueue>> queues_;
     ReplySink sink_;
     JournalSink *journal_ = nullptr;
     RecoverySummary recovery_;
     std::atomic<std::size_t> pendingOps_{0};
+    /** Declared last, so it is destroyed first: its destructor runs
+     * the still-queued drain and tick tasks, which use every member
+     * above. */
+    util::ThreadPool pool_;
 };
 
 /**
  * Drive a ServerCore from a text trace (the `rebudgetd --replay` mode).
  *
- * Grammar, one command per line (`#` starts a comment):
- *   create <market> <app1,app2,...>   founding tenants get ids 0..n-1
- *   demand <market> <tenant> <weight>
- *   join <market> <tenant> <app>
- *   leave <market> <tenant>
- *   tick [count]
+ * One command per line in the grammar of serve/command.h (`#` starts a
+ * comment), restricted to the mutating commands -- create, demand,
+ * join, leave -- plus `tick [count]`, which runs count epochs (default
+ * 1).  get, stats and shutdown are not replay commands.
  *
- * Numbers go through the strict util::parseUnsigned/parseDouble
- * parsers.  A malformed line or a rejected request stops the replay
- * with an error naming the line; replies to well-formed requests that
- * the server rejects (e.g. joining a nonexistent market) are errors
- * too, because a replay trace is supposed to be a known-good sequence.
+ * A malformed line or a rejected request stops the replay with an
+ * error naming the line; replies to well-formed requests that the
+ * server rejects (e.g. joining a nonexistent market) are errors too,
+ * because a replay trace is supposed to be a known-good sequence.
  */
 util::SolveStatus runReplayTrace(ServerCore &core, std::istream &in);
 

@@ -58,29 +58,20 @@
 
 namespace rebudget::serve {
 
-/** Daemon-wide tuning shared by every shard. */
+/**
+ * Daemon-wide tuning shared by every shard.  Hosted markets use the
+ * paper's machine shape (eval::ProblemBuilder::Config defaults) and
+ * the sim::ConvergenceWatchdog defaults.  Admission caps are fixed:
+ * 1024 markets per shard, 1024 players per market.
+ */
 struct ServeConfig
 {
     /** Number of shards (markets hash onto them by id). */
     std::size_t shards = 4;
     /** Tick worker threads; 0 = REBUDGET_JOBS env, else hardware. */
     unsigned jobs = 0;
-    /** Machine shape of every hosted market (paper defaults). */
-    double regionsPerCore = 4.0;
-    /** Chip TDP per core (paper: 10 W). */
-    double wattsPerCore = 10.0;
-    /** Apply Talus convexification to the utility models. */
-    bool convexify = true;
     /** Market tuning applied to every hosted market. */
     market::MarketConfig market;
-    /** Consecutive failed solves before a market falls back (0 = off). */
-    std::uint32_t watchdogFailureThreshold = 3;
-    /** Equal-share epochs after a watchdog trip. */
-    std::uint32_t watchdogCleanEpochs = 3;
-    /** Admission cap: markets per shard. */
-    std::size_t maxMarketsPerShard = 1024;
-    /** Admission cap: players per market. */
-    std::size_t maxPlayersPerMarket = 1024;
     /**
      * Optional allocation-counter hook for the zero-alloc audit: when
      * set, each shard samples it immediately before and after its tick
@@ -280,10 +271,10 @@ class Shard
     static void shapeSlot(MarketEntry &entry, int slot,
                           std::size_t tenants, std::size_t resources);
 
-    /** Publish @p entry under @p market in the lock-free index.  Called
-     * under mutex_ (single writer); the table never fills because the
-     * admission cap is half its capacity. */
-    void indexInsert(std::uint64_t market, MarketEntry *entry);
+    /** Host a fully built market and publish it in the lock-free
+     * index.  Called under mutex_ (single writer); the table never
+     * fills because the admission cap is half its capacity. */
+    void install(std::unique_ptr<MarketEntry> entry);
     /** Wait-free index probe; returns nullptr when absent. */
     const MarketEntry *indexLookup(std::uint64_t market) const;
 

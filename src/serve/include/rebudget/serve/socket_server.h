@@ -59,10 +59,6 @@ struct SocketServerOptions
     std::uint32_t tickMs = 100;
     /** Stop after this many epochs (0 = run until Shutdown/stop flag). */
     std::uint64_t maxTicks = 0;
-    /** Bound on the shutdown drain: after this many milliseconds the
-     * loop exits even with requests still in flight (a dead peer or a
-     * wedged solve must not hold the daemon open forever). */
-    std::uint32_t drainMs = 5000;
     /**
      * Invoked on the I/O thread each time an epoch tick completes,
      * with the epoch that just finished (no tick is in flight during
@@ -94,7 +90,8 @@ class SocketServer
      * Ask a running loop to stop.  The first call begins a graceful
      * shutdown: the loop stops accepting connections, drains queued
      * writes and in-flight ticks, flushes pending replies, then exits
-     * (bounded by SocketServerOptions::drainMs).  A second call -- the
+     * -- after at most five seconds, so a dead peer or a wedged solve
+     * cannot hold the daemon open forever.  A second call -- the
      * impatient operator's second Ctrl-C -- exits at the next poll
      * wakeup without waiting for the drain.  Safe to call from a
      * signal handler or another thread (lock-free atomic increment).

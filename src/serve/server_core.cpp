@@ -3,6 +3,7 @@
 #include <sstream>
 #include <utility>
 
+#include "rebudget/serve/command.h"
 #include "rebudget/util/arg_parse.h"
 #include "rebudget/util/rng.h"
 
@@ -281,41 +282,12 @@ tokenize(const std::string &line)
     return tokens;
 }
 
-/** Split "app1,app2,app3" on commas (empty fields rejected upstream). */
-std::vector<std::string>
-splitApps(const std::string &list)
-{
-    std::vector<std::string> apps;
-    std::size_t start = 0;
-    while (start <= list.size()) {
-        const std::size_t comma = list.find(',', start);
-        const std::size_t end =
-            comma == std::string::npos ? list.size() : comma;
-        apps.push_back(list.substr(start, end - start));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return apps;
-}
-
 util::SolveStatus
-lineError(std::size_t lineno, const char *what, const std::string &detail)
+lineError(std::size_t lineno, const std::string &message)
 {
     return util::SolveStatus::error(util::StatusCode::InvalidArgument,
-                                    "replay line %zu: %s%s%s", lineno,
-                                    what, detail.empty() ? "" : ": ",
-                                    detail.c_str());
-}
-
-/** Apply one request; a server rejection fails the replay by line. */
-util::SolveStatus
-applyOrFail(ServerCore &core, const Request &req, std::size_t lineno)
-{
-    const Response resp = core.apply(req);
-    if (const auto *err = std::get_if<ErrorReply>(&resp))
-        return lineError(lineno, "request rejected", err->message);
-    return {};
+                                    "replay line %zu: %s", lineno,
+                                    message.c_str());
 }
 
 } // namespace
@@ -333,106 +305,29 @@ runReplayTrace(ServerCore &core, std::istream &in)
         const std::vector<std::string> tok = tokenize(line);
         if (tok.empty())
             continue;
-        const std::string &cmd = tok[0];
-        if (cmd == "create") {
-            if (tok.size() != 3)
-                return lineError(lineno, "create needs <market> <apps>",
-                                 "");
-            const auto market = util::parseUnsigned(tok[1]);
-            if (!market.ok())
-                return lineError(lineno, "bad market id",
-                                 market.status().message());
-            CreateMarket req;
-            req.market = market.value();
-            std::uint64_t tenant = 0;
-            for (const std::string &app : splitApps(tok[2])) {
-                if (app.empty())
-                    return lineError(lineno, "empty app name in list",
-                                     tok[2]);
-                req.tenants.push_back({tenant++, app});
-            }
-            const auto status = applyOrFail(core, req, lineno);
-            if (!status.ok())
-                return status;
-        } else if (cmd == "demand") {
-            if (tok.size() != 4) {
-                return lineError(
-                    lineno, "demand needs <market> <tenant> <weight>",
-                    "");
-            }
-            const auto market = util::parseUnsigned(tok[1]);
-            const auto tenant = util::parseUnsigned(tok[2]);
-            const auto weight = util::parseDouble(tok[3]);
-            if (!market.ok())
-                return lineError(lineno, "bad market id",
-                                 market.status().message());
-            if (!tenant.ok())
-                return lineError(lineno, "bad tenant id",
-                                 tenant.status().message());
-            if (!weight.ok())
-                return lineError(lineno, "bad weight",
-                                 weight.status().message());
-            const auto status = applyOrFail(
-                core,
-                SubmitDemand{market.value(), tenant.value(),
-                             weight.value()},
-                lineno);
-            if (!status.ok())
-                return status;
-        } else if (cmd == "join") {
-            if (tok.size() != 4) {
-                return lineError(lineno,
-                                 "join needs <market> <tenant> <app>",
-                                 "");
-            }
-            const auto market = util::parseUnsigned(tok[1]);
-            const auto tenant = util::parseUnsigned(tok[2]);
-            if (!market.ok())
-                return lineError(lineno, "bad market id",
-                                 market.status().message());
-            if (!tenant.ok())
-                return lineError(lineno, "bad tenant id",
-                                 tenant.status().message());
-            const auto status = applyOrFail(
-                core, JoinTenant{market.value(), tenant.value(), tok[3]},
-                lineno);
-            if (!status.ok())
-                return status;
-        } else if (cmd == "leave") {
-            if (tok.size() != 3)
-                return lineError(lineno, "leave needs <market> <tenant>",
-                                 "");
-            const auto market = util::parseUnsigned(tok[1]);
-            const auto tenant = util::parseUnsigned(tok[2]);
-            if (!market.ok())
-                return lineError(lineno, "bad market id",
-                                 market.status().message());
-            if (!tenant.ok())
-                return lineError(lineno, "bad tenant id",
-                                 tenant.status().message());
-            const auto status = applyOrFail(
-                core, LeaveTenant{market.value(), tenant.value()},
-                lineno);
-            if (!status.ok())
-                return status;
-        } else if (cmd == "tick") {
+        if (tok[0] == "tick" && tok.size() > 1) {
             if (tok.size() > 2)
-                return lineError(lineno, "tick takes at most one count",
-                                 "");
-            std::uint64_t count = 1;
-            if (tok.size() == 2) {
-                const auto parsed =
-                    util::parseUnsigned(tok[1], 1u << 20);
-                if (!parsed.ok())
-                    return lineError(lineno, "bad tick count",
-                                     parsed.status().message());
-                count = parsed.value();
+                return lineError(lineno, "tick takes at most one count");
+            const auto count = util::parseUnsigned(tok[1], 1u << 20);
+            if (!count.ok()) {
+                return lineError(lineno, "bad tick count: " +
+                                             count.status().message());
             }
-            for (std::uint64_t t = 0; t < count; ++t)
+            for (std::uint64_t t = 0; t < count.value(); ++t)
                 core.tick();
-        } else {
-            return lineError(lineno, "unknown command", cmd);
+            continue;
         }
+        const auto req = parseCommand(tok);
+        if (!req.ok())
+            return lineError(lineno, req.status().message());
+        const Request &r = req.value();
+        if (std::holds_alternative<GetAllocation>(r) ||
+            std::holds_alternative<GetStats>(r) ||
+            std::holds_alternative<Shutdown>(r))
+            return lineError(lineno, "not a replay command: " + tok[0]);
+        const Response resp = core.apply(r);
+        if (const auto *err = std::get_if<ErrorReply>(&resp))
+            return lineError(lineno, "request rejected: " + err->message);
     }
     return {};
 }

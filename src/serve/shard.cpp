@@ -4,11 +4,17 @@
 #include <cstring>
 #include <utility>
 
+#include "rebudget/core/roster.h"
 #include "rebudget/util/rng.h"
 
 namespace rebudget::serve {
 
 namespace {
+
+/** Admission caps.  The lock-free market index is sized from the
+ * market cap (see the Shard constructor). */
+constexpr std::size_t kMaxMarketsPerShard = 1024;
+constexpr std::size_t kMaxPlayersPerMarket = 1024;
 
 ErrorReply
 errorReply(util::SolveStatus status)
@@ -91,18 +97,10 @@ foldF64(std::uint64_t h, double v)
  */
 struct Shard::MarketEntry
 {
-    explicit MarketEntry(const ServeConfig &config)
-        : builder(eval::ProblemBuilder::Config{config.regionsPerCore,
-                                               config.wattsPerCore,
-                                               config.convexify}),
-          watchdog(config.watchdogFailureThreshold,
-                   config.watchdogCleanEpochs)
-    {
-    }
-
     std::uint64_t id = 0;
-    /** Tenant ids in dense player order (parallel to builder models). */
-    std::vector<std::uint64_t> tenants;
+    /** Tenant ids in dense player order; weights and the builder's
+     * models are indexed by the same dense index. */
+    core::Roster roster;
     /** Demand weights; budgets are n * w_i / sum(w) each tick. */
     std::vector<double> weights;
     eval::ProblemBuilder builder;
@@ -133,10 +131,9 @@ struct Shard::MarketEntry
     bool published = false;
     /** Migration scratch for roster-change warm seeds. */
     market::EquilibriumResult migrated;
-    std::vector<std::ptrdiff_t> priorIndex;
     std::vector<double> budgets;
     /** Roster the current warm seed was solved on (migration map). */
-    std::vector<std::uint64_t> solvedTenants;
+    core::Roster solved;
     /** Set by create/join/leave; cleared once the market is rebuilt. */
     bool rosterChanged = true;
     sim::ConvergenceWatchdog watchdog;
@@ -150,11 +147,8 @@ Shard::Shard(std::size_t index, const ServeConfig &config)
     // Index capacity 2x the admission cap keeps the open-addressing
     // load factor at or below one half, so probes stay short and the
     // insert loop always terminates.
-    const std::size_t want =
-        2 * (config.maxMarketsPerShard > 0 ? config.maxMarketsPerShard
-                                           : 1);
     std::size_t cap = 1;
-    while (cap < want)
+    while (cap < 2 * kMaxMarketsPerShard)
         cap <<= 1;
     slots_ = std::vector<IndexSlot>(cap);
     slotMask_ = cap - 1;
@@ -163,13 +157,20 @@ Shard::Shard(std::size_t index, const ServeConfig &config)
 Shard::~Shard() = default;
 
 void
-Shard::indexInsert(std::uint64_t market, MarketEntry *entry)
+Shard::install(std::unique_ptr<MarketEntry> entry)
 {
+    // Publish in the lock-free index only once the entry is fully
+    // built; readers that win the race simply see "unknown market".
+    const std::uint64_t market = entry->id;
+    MarketEntry *raw = entry.get();
+    markets_.emplace(market, std::move(entry));
     std::uint64_t h = util::mix64(market) & slotMask_;
     while (slots_[h].ptr.load(std::memory_order_relaxed) != nullptr)
         h = (h + 1) & slotMask_;
     slots_[h].key.store(market, std::memory_order_relaxed);
-    slots_[h].ptr.store(entry, std::memory_order_release);
+    slots_[h].ptr.store(raw, std::memory_order_release);
+    marketCount_.fetch_add(1, std::memory_order_relaxed);
+    counters_.marketsCreated.fetch_add(1, std::memory_order_relaxed);
 }
 
 const Shard::MarketEntry *
@@ -284,48 +285,39 @@ Shard::doCreate(const CreateMarket &req)
             "market " + std::to_string(req.market) + " already exists";
         return e;
     }
-    if (markets_.size() >= config_->maxMarketsPerShard) {
+    if (markets_.size() >= kMaxMarketsPerShard) {
         return errorReply(util::SolveStatus::error(
             util::StatusCode::FailedPrecondition,
             "shard %zu is at its market cap (%zu)", index_,
-            config_->maxMarketsPerShard));
+            kMaxMarketsPerShard));
     }
     if (req.tenants.empty()) {
         return errorReply(util::SolveStatus::error(
             util::StatusCode::InvalidArgument,
             "CreateMarket needs at least one tenant"));
     }
-    if (req.tenants.size() > config_->maxPlayersPerMarket) {
+    if (req.tenants.size() > kMaxPlayersPerMarket) {
         return errorReply(util::SolveStatus::error(
             util::StatusCode::InvalidArgument,
             "market %llu asks for %zu tenants, cap is %zu",
             static_cast<unsigned long long>(req.market),
-            req.tenants.size(), config_->maxPlayersPerMarket));
+            req.tenants.size(), kMaxPlayersPerMarket));
     }
-    auto entry = std::make_unique<MarketEntry>(*config_);
+    auto entry = std::make_unique<MarketEntry>();
     entry->id = req.market;
     for (const auto &t : req.tenants) {
-        for (const std::uint64_t seen : entry->tenants) {
-            if (seen == t.tenant) {
-                return errorReply(util::SolveStatus::error(
-                    util::StatusCode::InvalidArgument,
-                    "duplicate tenant %llu in CreateMarket",
-                    static_cast<unsigned long long>(t.tenant)));
-            }
+        if (!entry->roster.add(t.tenant)) {
+            return errorReply(util::SolveStatus::error(
+                util::StatusCode::InvalidArgument,
+                "duplicate tenant %llu in CreateMarket",
+                static_cast<unsigned long long>(t.tenant)));
         }
         const auto added = entry->builder.addApp(t.app);
         if (!added.ok())
             return errorReply(added.status());
-        entry->tenants.push_back(t.tenant);
         entry->weights.push_back(1.0);
     }
-    MarketEntry *raw = entry.get();
-    markets_.emplace(req.market, std::move(entry));
-    // Publish in the lock-free index only once the entry is fully
-    // built; readers that win the race simply see "unknown market".
-    indexInsert(req.market, raw);
-    marketCount_.fetch_add(1, std::memory_order_relaxed);
-    counters_.marketsCreated.fetch_add(1, std::memory_order_relaxed);
+    install(std::move(entry));
     return AckReply{};
 }
 
@@ -342,13 +334,11 @@ Shard::doDemand(const SubmitDemand &req)
             "demand weight must be a finite positive number, got %g",
             req.weight));
     }
-    for (std::size_t i = 0; i < e.tenants.size(); ++i) {
-        if (e.tenants[i] == req.tenant) {
-            e.weights[i] = req.weight;
-            return AckReply{};
-        }
-    }
-    return unknownTenant(req.market, req.tenant);
+    const auto i = e.roster.indexOf(req.tenant);
+    if (!i)
+        return unknownTenant(req.market, req.tenant);
+    e.weights[*i] = req.weight;
+    return AckReply{};
 }
 
 Response
@@ -358,26 +348,24 @@ Shard::doJoin(const JoinTenant &req)
     if (it == markets_.end())
         return unknownMarket(req.market);
     MarketEntry &e = *it->second;
-    if (e.tenants.size() >= config_->maxPlayersPerMarket) {
+    if (e.roster.size() >= kMaxPlayersPerMarket) {
         return errorReply(util::SolveStatus::error(
             util::StatusCode::FailedPrecondition,
             "market %llu is at its player cap (%zu)",
             static_cast<unsigned long long>(req.market),
-            config_->maxPlayersPerMarket));
+            kMaxPlayersPerMarket));
     }
-    for (const std::uint64_t seen : e.tenants) {
-        if (seen == req.tenant) {
-            return errorReply(util::SolveStatus::error(
-                util::StatusCode::FailedPrecondition,
-                "tenant %llu already in market %llu",
-                static_cast<unsigned long long>(req.tenant),
-                static_cast<unsigned long long>(req.market)));
-        }
+    if (e.roster.indexOf(req.tenant)) {
+        return errorReply(util::SolveStatus::error(
+            util::StatusCode::FailedPrecondition,
+            "tenant %llu already in market %llu",
+            static_cast<unsigned long long>(req.tenant),
+            static_cast<unsigned long long>(req.market)));
     }
     const auto added = e.builder.addApp(req.app);
     if (!added.ok())
         return errorReply(added.status());
-    e.tenants.push_back(req.tenant);
+    e.roster.add(req.tenant);
     e.weights.push_back(1.0);
     e.rosterChanged = true;
     {
@@ -394,22 +382,17 @@ Shard::doLeave(const LeaveTenant &req)
     if (it == markets_.end())
         return unknownMarket(req.market);
     MarketEntry &e = *it->second;
-    for (std::size_t i = 0; i < e.tenants.size(); ++i) {
-        if (e.tenants[i] != req.tenant)
-            continue;
-        e.builder.removeAt(i);
-        e.tenants.erase(e.tenants.begin() +
-                        static_cast<std::ptrdiff_t>(i));
-        e.weights.erase(e.weights.begin() +
-                        static_cast<std::ptrdiff_t>(i));
-        e.rosterChanged = true;
-        {
-            const std::lock_guard<std::mutex> slock(statsMutex_);
-            stats_.tenantsDeparted += 1;
-        }
-        return AckReply{};
+    const auto i = e.roster.remove(req.tenant);
+    if (!i)
+        return unknownTenant(req.market, req.tenant);
+    e.builder.removeAt(*i);
+    e.weights.erase(e.weights.begin() + static_cast<std::ptrdiff_t>(*i));
+    e.rosterChanged = true;
+    {
+        const std::lock_guard<std::mutex> slock(statsMutex_);
+        stats_.tenantsDeparted += 1;
     }
-    return unknownTenant(req.market, req.tenant);
+    return AckReply{};
 }
 
 void
@@ -423,7 +406,7 @@ Shard::tick(std::uint64_t epoch)
     bool steady = true;
     for (const auto &kv : markets_) {
         const MarketEntry &e = *kv.second;
-        if (e.tenants.empty())
+        if (e.roster.empty())
             continue;
         if (e.rosterChanged || (!e.warmValid && !e.watchdog.inFallback()))
             steady = false;
@@ -447,7 +430,7 @@ Shard::tick(std::uint64_t epoch)
 void
 Shard::tickMarket(MarketEntry &e, std::uint64_t epoch)
 {
-    const std::size_t n = e.tenants.size();
+    const std::size_t n = e.roster.size();
     if (n == 0)
         return; // every tenant left; nothing to solve or publish
 
@@ -474,7 +457,7 @@ Shard::tickMarket(MarketEntry &e, std::uint64_t epoch)
         // the back slot is reshaped before the solve; the other slot
         // is reshaped right after the flip, still inside this warm-up
         // tick, so steady ticks never touch an unshaped slot.
-        const bool migrate = e.warmValid && !e.solvedTenants.empty();
+        const bool migrate = e.warmValid && !e.solved.empty();
         e.modelPtrs.clear();
         for (const auto &model : e.builder.models())
             e.modelPtrs.push_back(model.get());
@@ -482,20 +465,9 @@ Shard::tickMarket(MarketEntry &e, std::uint64_t epoch)
         e.market = std::make_unique<market::ProportionalMarket>(
             e.modelPtrs, e.capacities, config_->market);
         if (migrate) {
-            e.priorIndex.resize(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                e.priorIndex[i] = -1;
-                for (std::size_t p = 0; p < e.solvedTenants.size(); ++p) {
-                    if (e.solvedTenants[p] == e.tenants[i]) {
-                        e.priorIndex[i] =
-                            static_cast<std::ptrdiff_t>(p);
-                        break;
-                    }
-                }
-            }
             const std::size_t kept = market::migrateEquilibriumInto(
-                e.slots[e.cur], e.priorIndex, e.capacities.size(),
-                e.migrated);
+                e.slots[e.cur], e.roster.mapFrom(e.solved),
+                e.capacities.size(), e.migrated);
             {
                 const std::lock_guard<std::mutex> slock(statsMutex_);
                 stats_.migratedWarmSeeds +=
@@ -506,7 +478,7 @@ Shard::tickMarket(MarketEntry &e, std::uint64_t epoch)
         }
         e.warmValid = false;
         e.rosterChanged = false;
-        e.solvedTenants = e.tenants;
+        e.solved = e.roster;
         e.slotShaped[0] = false;
         e.slotShaped[1] = false;
     } else if (e.warmValid) {
@@ -549,7 +521,7 @@ Shard::tickMarket(MarketEntry &e, std::uint64_t epoch)
         // Publish: stamp the slot's read-side metadata, then flip.
         // Same-size assignment reuses slotTenants' buffer, keeping
         // steady ticks allocation-free.
-        e.slotTenants[back] = e.tenants;
+        e.slotTenants[back] = e.roster.ids();
         e.slotTick[back] = epoch;
         e.cur = back;
         e.warmValid = true;
@@ -594,7 +566,7 @@ Shard::shapeSlot(MarketEntry &entry, int slot, std::size_t tenants,
 void
 Shard::installFallback(MarketEntry &entry, std::uint64_t epoch)
 {
-    const std::size_t n = entry.tenants.size();
+    const std::size_t n = entry.roster.size();
     const std::size_t m = entry.capacities.size();
     const int back = 1 - entry.cur;
     market::EquilibriumResult &out = entry.slots[back];
@@ -618,7 +590,7 @@ Shard::installFallback(MarketEntry &entry, std::uint64_t epoch)
     out.approximated = true;
     out.hillClimbSteps = 0;
     out.solveSeconds = 0.0;
-    entry.slotTenants[back] = entry.tenants;
+    entry.slotTenants[back] = entry.roster.ids();
     entry.slotTick[back] = epoch;
     entry.cur = back;
     entry.published = true;
@@ -669,10 +641,10 @@ Shard::exportState(std::vector<MarketState> &out) const
         const MarketEntry &e = *kv.second;
         MarketState st;
         st.id = e.id;
-        st.tenants.resize(e.tenants.size());
+        st.tenants.resize(e.roster.size());
         const auto &models = e.builder.models();
-        for (std::size_t i = 0; i < e.tenants.size(); ++i) {
-            st.tenants[i].tenant = e.tenants[i];
+        for (std::size_t i = 0; i < e.roster.size(); ++i) {
+            st.tenants[i].tenant = e.roster.idAt(i);
             st.tenants[i].app = models[i]->name();
             st.tenants[i].weight = e.weights[i];
         }
@@ -705,18 +677,18 @@ Shard::restoreMarket(const MarketState &st)
             "restore: market %llu already exists",
             static_cast<unsigned long long>(st.id));
     }
-    if (markets_.size() >= config_->maxMarketsPerShard) {
+    if (markets_.size() >= kMaxMarketsPerShard) {
         return util::SolveStatus::error(
             util::StatusCode::FailedPrecondition,
             "restore: shard %zu is at its market cap (%zu)", index_,
-            config_->maxMarketsPerShard);
+            kMaxMarketsPerShard);
     }
-    if (st.tenants.size() > config_->maxPlayersPerMarket) {
+    if (st.tenants.size() > kMaxPlayersPerMarket) {
         return util::SolveStatus::error(
             util::StatusCode::InvalidArgument,
             "restore: market %llu has %zu tenants, cap is %zu",
             static_cast<unsigned long long>(st.id), st.tenants.size(),
-            config_->maxPlayersPerMarket);
+            kMaxPlayersPerMarket);
     }
     if (st.published) {
         // The equilibrium shapes must agree with the roster it claims
@@ -737,17 +709,15 @@ Shard::restoreMarket(const MarketState &st)
                 static_cast<unsigned long long>(st.id));
         }
     }
-    auto entry = std::make_unique<MarketEntry>(*config_);
+    auto entry = std::make_unique<MarketEntry>();
     entry->id = st.id;
     for (const TenantState &t : st.tenants) {
-        for (const std::uint64_t seen : entry->tenants) {
-            if (seen == t.tenant) {
-                return util::SolveStatus::error(
-                    util::StatusCode::InvalidArgument,
-                    "restore: duplicate tenant %llu in market %llu",
-                    static_cast<unsigned long long>(t.tenant),
-                    static_cast<unsigned long long>(st.id));
-            }
+        if (!entry->roster.add(t.tenant)) {
+            return util::SolveStatus::error(
+                util::StatusCode::InvalidArgument,
+                "restore: duplicate tenant %llu in market %llu",
+                static_cast<unsigned long long>(t.tenant),
+                static_cast<unsigned long long>(st.id));
         }
         if (!std::isfinite(t.weight) || t.weight <= 0.0) {
             return util::SolveStatus::error(
@@ -759,7 +729,6 @@ Shard::restoreMarket(const MarketState &st)
         const auto added = entry->builder.addApp(t.app);
         if (!added.ok())
             return added.status();
-        entry->tenants.push_back(t.tenant);
         entry->weights.push_back(t.weight);
     }
     MarketEntry &e = *entry;
@@ -771,6 +740,16 @@ Shard::restoreMarket(const MarketState &st)
         // slot -- for an unchanged roster the migration is an identity
         // re-key of these exact bids, making the first post-restore
         // solve bit-identical to the uncrashed daemon's next tick.
+        for (const std::uint64_t t : st.allocTenants) {
+            if (!e.solved.add(t)) {
+                return util::SolveStatus::error(
+                    util::StatusCode::InvalidArgument,
+                    "restore: duplicate tenant %llu in market %llu's "
+                    "solved roster",
+                    static_cast<unsigned long long>(t),
+                    static_cast<unsigned long long>(st.id));
+            }
+        }
         market::EquilibriumResult &res = e.slots[0];
         e.gate.beginWrite(0);
         res.status = {};
@@ -792,15 +771,10 @@ Shard::restoreMarket(const MarketState &st)
         // A warm seed needs bids; a fallback slot (or a snapshot
         // stripped of bids) restores as published-but-cold.
         e.warmValid = st.warmValid && !st.bids.empty();
-        e.solvedTenants = st.allocTenants;
         e.lastTick = st.tick;
         e.gate.publish(0);
     }
-    MarketEntry *raw = entry.get();
-    markets_.emplace(st.id, std::move(entry));
-    indexInsert(st.id, raw);
-    marketCount_.fetch_add(1, std::memory_order_relaxed);
-    counters_.marketsCreated.fetch_add(1, std::memory_order_relaxed);
+    install(std::move(entry));
     return {};
 }
 
@@ -811,8 +785,8 @@ Shard::digest(std::uint64_t h) const
     for (const auto &kv : markets_) {
         const MarketEntry &e = *kv.second;
         h = foldU64(h, e.id);
-        h = foldU64(h, e.tenants.size());
-        for (const std::uint64_t t : e.tenants)
+        h = foldU64(h, e.roster.size());
+        for (const std::uint64_t t : e.roster.ids())
             h = foldU64(h, t);
         h = foldU64(h, e.published ? 1 : 0);
         if (!e.published)

@@ -26,6 +26,10 @@ namespace rebudget::serve {
 
 namespace {
 
+/** Bound on the shutdown drain: after this many milliseconds the loop
+ * exits even with requests still in flight. */
+constexpr std::int64_t kDrainMs = 5000;
+
 /**
  * Per-connection state: incremental decoder, reply sequencer and the
  * outbound frame queue.
@@ -390,7 +394,7 @@ SocketServer::run()
         if (stops == 1)
             shutting_down = true;
         if (shutting_down && drain_deadline == 0)
-            drain_deadline = nowMs() + options_.drainMs;
+            drain_deadline = nowMs() + kDrainMs;
         if (drain_deadline != 0 && nowMs() >= drain_deadline)
             break;
         if (shutting_down) {

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <string>
 
+#include "rebudget/util/logging.h"
+
 namespace rebudget::util {
 
 namespace {
@@ -102,6 +104,29 @@ parseDouble(std::string_view text)
                                   quoted(text).c_str());
     }
     return value;
+}
+
+std::uint64_t
+flagUnsigned(std::string_view flag, std::string_view value,
+             std::uint64_t max)
+{
+    const auto parsed = parseUnsigned(value, max);
+    if (!parsed.ok()) {
+        fatal("%s: %s", std::string(flag).c_str(),
+              parsed.status().message().c_str());
+    }
+    return parsed.value();
+}
+
+double
+flagDouble(std::string_view flag, std::string_view value)
+{
+    const auto parsed = parseDouble(value);
+    if (!parsed.ok()) {
+        fatal("%s: %s", std::string(flag).c_str(),
+              parsed.status().message().c_str());
+    }
+    return parsed.value();
 }
 
 } // namespace rebudget::util

@@ -15,12 +15,13 @@
  *
  * Every parser here consumes the WHOLE token or returns a named error
  * status, so a mistyped flag value surfaces as a diagnostic instead of
- * a silently truncated (or wrapped) number.  rebudget_cli, rebudgetd,
- * rebudgetctl and the serve replay-trace parser all route their numeric
- * arguments through these.
+ * a silently truncated (or wrapped) number.  The command-line tools
+ * and the serve command grammar (serve/command.h) all route their
+ * numeric arguments through these.
  */
 
 #include <cstdint>
+#include <limits>
 #include <string_view>
 
 #include "rebudget/util/status.h"
@@ -45,6 +46,17 @@ Expected<std::uint64_t> parseUnsigned(std::string_view text,
  * the "inf"/"nan" spellings -- no allocation knob means infinity.
  */
 Expected<double> parseDouble(std::string_view text);
+
+/**
+ * Command-line form of parseUnsigned: the value of @p flag, or a
+ * util::FatalError "<flag>: <reason>" (the tools catch it and exit 1).
+ */
+std::uint64_t flagUnsigned(
+    std::string_view flag, std::string_view value,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+
+/** Command-line form of parseDouble (see flagUnsigned). */
+double flagDouble(std::string_view flag, std::string_view value);
 
 } // namespace rebudget::util
 

@@ -10,7 +10,7 @@
  *  - a protocol Shutdown cleanly stops the serve loop.
  *
  * Every test boots its own daemon on a Unix-domain socket in a temp
- * directory (one on ephemeral loopback TCP) and always stops it via
+ * directory (two on ephemeral loopback TCP) and always stops it via
  * the protocol, so the poll loop exercises its drain path.
  */
 
@@ -25,9 +25,9 @@
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
-#include <sys/un.h>
 #include <unistd.h>
 
+#include "rebudget/serve/client.h"
 #include "rebudget/serve/protocol.h"
 #include "rebudget/serve/server_core.h"
 #include "rebudget/serve/socket_server.h"
@@ -37,29 +37,85 @@ using namespace rebudget::serve;
 
 namespace {
 
-/** One daemon on a Unix socket, torn down via protocol Shutdown. */
+/** Bounds every reply wait, so a wedged server fails the test instead
+ * of hanging it. */
+constexpr std::uint32_t kReplyTimeoutMs = 30000;
+
+/** Unwrap a client result; a transport error fails the test and reads
+ * as an ErrorReply, which every caller's reply-kind check rejects. */
+Response
+unwrap(const util::Expected<Response> &resp)
+{
+    EXPECT_TRUE(resp.ok()) << resp.status().toString();
+    if (!resp.ok())
+        return ErrorReply{resp.status().code(), resp.status().message()};
+    return resp.value();
+}
+
+Response
+roundTrip(Client &client, const Request &req)
+{
+    return unwrap(client.call(req, kReplyTimeoutMs));
+}
+
+/** Write raw bytes on a connection (rogue frames). */
+void
+sendAll(int fd, const std::uint8_t *data, std::size_t size)
+{
+    std::size_t sent = 0;
+    while (sent < size) {
+        const ssize_t n =
+            ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
+        ASSERT_GT(n, 0) << "send failed: " << std::strerror(errno);
+        sent += static_cast<std::size_t>(n);
+    }
+}
+
+/** @return true once recv sees EOF (server dropped the conn). */
+bool
+waitForClose(int fd)
+{
+    std::uint8_t buf[256];
+    for (;;) {
+        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+        if (n == 0)
+            return true;
+        if (n < 0)
+            return false;
+    }
+}
+
+/** One daemon on a Unix socket (or ephemeral loopback TCP), torn
+ * down via protocol Shutdown. */
 class TestServer
 {
   public:
-    TestServer()
+    explicit TestServer(bool tcp = false)
     {
-        char tmpl[] = "/tmp/rebudget_serve_test_XXXXXX";
-        const char *dir = ::mkdtemp(tmpl);
-        EXPECT_NE(dir, nullptr);
-        dir_ = dir ? dir : "";
-        path_ = dir_ + "/d.sock";
-
         ServeConfig config;
         config.shards = 2;
         config.jobs = 1;
         config.market.maxIterations = 200;
         core_ = std::make_unique<ServerCore>(config);
         SocketServerOptions options;
-        options.socketPath = path_;
         options.tickMs = 0; // ticks only via TickNow
+        if (!tcp) {
+            char tmpl[] = "/tmp/rebudget_serve_test_XXXXXX";
+            dir_ = ::mkdtemp(tmpl) ? tmpl : "";
+            path_ = dir_ + "/d.sock";
+            options.socketPath = path_;
+        }
         server_ = std::make_unique<SocketServer>(*core_, options);
         thread_ = std::thread([this] { result_ = server_->run(); });
-        waitForSocket();
+        // Ready once the socket file exists or the port is bound.
+        struct stat st{};
+        for (int i = 0; i < 200; ++i) {
+            port_ = server_->boundPort();
+            if (tcp ? port_ != 0 : ::stat(path_.c_str(), &st) == 0)
+                return;
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+        ADD_FAILURE() << "daemon never bound";
     }
 
     ~TestServer()
@@ -67,124 +123,41 @@ class TestServer
         if (thread_.joinable()) {
             // Belt and braces: tests normally Shutdown via protocol.
             server_->requestStop();
-            const int fd = connect(); // wake the poll loop
-            if (fd >= 0)
-                ::close(fd);
+            connect().close(); // wake the poll loop
             thread_.join();
         }
-        ::unlink(path_.c_str());
-        ::rmdir(dir_.c_str());
+        if (!dir_.empty()) {
+            ::unlink(path_.c_str());
+            ::rmdir(dir_.c_str());
+        }
     }
 
-    /** @return a connected client fd (< 0 on failure). */
-    int connect() const
+    /** @return the bound TCP port (TCP servers only). */
+    std::uint16_t port() const { return port_; }
+
+    /** @return a connected client (a failed connect fails the test). */
+    Client connect() const
     {
-        const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd < 0)
-            return -1;
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, path_.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
-            ::close(fd);
-            return -1;
-        }
-        return fd;
+        Client client;
+        const util::SolveStatus status = client.connect(path_, port_);
+        EXPECT_TRUE(status.ok()) << status.toString();
+        return client;
     }
 
     void shutdownViaProtocol()
     {
-        const int fd = connect();
-        ASSERT_GE(fd, 0);
-        sendRequest(fd, Shutdown{});
-        Response resp;
-        ASSERT_TRUE(readResponse(fd, resp));
-        EXPECT_TRUE(std::holds_alternative<AckReply>(resp));
-        ::close(fd);
+        Client client = connect();
+        EXPECT_TRUE(
+            std::holds_alternative<AckReply>(roundTrip(client, Shutdown{})));
+        client.close();
         thread_.join();
         EXPECT_TRUE(result_.ok()) << result_.toString();
     }
 
-    static void sendAll(int fd, const std::uint8_t *data,
-                        std::size_t size)
-    {
-        std::size_t sent = 0;
-        while (sent < size) {
-            const ssize_t n = ::send(fd, data + sent, size - sent,
-                                     MSG_NOSIGNAL);
-            ASSERT_GT(n, 0) << "send failed: " << std::strerror(errno);
-            sent += static_cast<std::size_t>(n);
-        }
-    }
-
-    static void sendRequest(int fd, const Request &req)
-    {
-        std::vector<std::uint8_t> frame;
-        encodeRequest(req, frame);
-        sendAll(fd, frame.data(), frame.size());
-    }
-
-    /** Read one framed Response; false on EOF before a full frame. */
-    static bool readResponse(int fd, Response &out)
-    {
-        FrameReader reader;
-        std::vector<std::uint8_t> payload;
-        std::uint8_t buf[4096];
-        for (;;) {
-            switch (reader.next(payload)) {
-            case FrameReader::Result::Frame: {
-                const auto resp =
-                    decodeResponse(payload.data(), payload.size());
-                EXPECT_TRUE(resp.ok()) << resp.status().toString();
-                if (!resp.ok())
-                    return false;
-                out = resp.value();
-                return true;
-            }
-            case FrameReader::Result::Error:
-                ADD_FAILURE() << "client framing: " << reader.error();
-                return false;
-            case FrameReader::Result::NeedMore:
-                break;
-            }
-            const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-            if (n == 0)
-                return false; // server closed the connection
-            if (n < 0)
-                return false;
-            reader.feed(buf, static_cast<std::size_t>(n));
-        }
-    }
-
-    /** @return true once recv sees EOF (server dropped the conn). */
-    static bool waitForClose(int fd)
-    {
-        std::uint8_t buf[256];
-        for (;;) {
-            const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-            if (n == 0)
-                return true;
-            if (n < 0)
-                return false;
-        }
-    }
-
   private:
-    void waitForSocket() const
-    {
-        struct stat st{};
-        for (int i = 0; i < 200; ++i) {
-            if (::stat(path_.c_str(), &st) == 0)
-                return;
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        }
-        FAIL() << "daemon never bound " << path_;
-    }
-
     std::string dir_;
     std::string path_;
+    std::uint16_t port_ = 0;
     std::unique_ptr<ServerCore> core_;
     std::unique_ptr<SocketServer> server_;
     std::thread thread_;
@@ -206,66 +179,53 @@ smallMarket(std::uint64_t id)
 TEST(SocketServer, RoundTripOverUnixSocket)
 {
     TestServer server;
-    const int fd = server.connect();
-    ASSERT_GE(fd, 0);
+    Client client = server.connect();
 
-    TestServer::sendRequest(fd, smallMarket(1));
-    Response resp;
-    ASSERT_TRUE(TestServer::readResponse(fd, resp));
-    EXPECT_TRUE(std::holds_alternative<AckReply>(resp));
+    EXPECT_TRUE(std::holds_alternative<AckReply>(
+        roundTrip(client, smallMarket(1))));
+    EXPECT_TRUE(
+        std::holds_alternative<AckReply>(roundTrip(client, TickNow{})));
 
-    TestServer::sendRequest(fd, TickNow{});
-    ASSERT_TRUE(TestServer::readResponse(fd, resp));
-    EXPECT_TRUE(std::holds_alternative<AckReply>(resp));
-
-    TestServer::sendRequest(fd, GetAllocation{1});
-    ASSERT_TRUE(TestServer::readResponse(fd, resp));
+    const Response resp = roundTrip(client, GetAllocation{1});
     const auto *alloc = std::get_if<AllocationReply>(&resp);
     ASSERT_NE(alloc, nullptr);
     EXPECT_EQ(alloc->market, 1u);
     EXPECT_EQ(alloc->players.size(), 2u);
 
-    ::close(fd);
+    client.close();
     server.shutdownViaProtocol();
 }
 
 TEST(SocketServer, UnknownOpcodeGetsTypedErrorAndConnectionSurvives)
 {
     TestServer server;
-    const int fd = server.connect();
-    ASSERT_GE(fd, 0);
+    Client client = server.connect();
 
     // A complete frame whose payload is one unknown opcode byte.
     const std::uint8_t frame[] = {1, 0, 0, 0, 0x7f};
-    TestServer::sendAll(fd, frame, sizeof(frame));
-    Response resp;
-    ASSERT_TRUE(TestServer::readResponse(fd, resp));
+    sendAll(client.fd(), frame, sizeof(frame));
+    const Response resp = unwrap(client.receive(kReplyTimeoutMs));
     const auto *err = std::get_if<ErrorReply>(&resp);
     ASSERT_NE(err, nullptr);
     EXPECT_EQ(err->code, util::StatusCode::InvalidArgument);
 
     // Same connection must still serve valid requests.
-    TestServer::sendRequest(fd, smallMarket(2));
-    ASSERT_TRUE(TestServer::readResponse(fd, resp));
-    EXPECT_TRUE(std::holds_alternative<AckReply>(resp));
+    EXPECT_TRUE(std::holds_alternative<AckReply>(
+        roundTrip(client, smallMarket(2))));
 
-    ::close(fd);
+    client.close();
     server.shutdownViaProtocol();
 }
 
 TEST(SocketServer, OversizedFrameDropsOnlyThatConnection)
 {
     TestServer server;
-    const int healthy = server.connect();
-    const int rogue = server.connect();
-    ASSERT_GE(healthy, 0);
-    ASSERT_GE(rogue, 0);
+    Client healthy = server.connect();
+    Client rogue = server.connect();
 
     // Set up state through the healthy connection first.
-    TestServer::sendRequest(healthy, smallMarket(3));
-    Response resp;
-    ASSERT_TRUE(TestServer::readResponse(healthy, resp));
-    EXPECT_TRUE(std::holds_alternative<AckReply>(resp));
+    EXPECT_TRUE(std::holds_alternative<AckReply>(
+        roundTrip(healthy, smallMarket(3))));
 
     // Rogue declares a payload over the 1 MiB cap: expect a typed
     // error back and then EOF -- the stream cannot be trusted.
@@ -273,42 +233,36 @@ TEST(SocketServer, OversizedFrameDropsOnlyThatConnection)
     std::uint8_t prefix[4];
     for (int i = 0; i < 4; ++i)
         prefix[i] = static_cast<std::uint8_t>(declared >> (8 * i));
-    TestServer::sendAll(rogue, prefix, sizeof(prefix));
-    ASSERT_TRUE(TestServer::readResponse(rogue, resp));
-    ASSERT_TRUE(std::holds_alternative<ErrorReply>(resp));
-    EXPECT_TRUE(TestServer::waitForClose(rogue));
-    ::close(rogue);
+    sendAll(rogue.fd(), prefix, sizeof(prefix));
+    ASSERT_TRUE(std::holds_alternative<ErrorReply>(
+        unwrap(rogue.receive(kReplyTimeoutMs))));
+    EXPECT_TRUE(waitForClose(rogue.fd()));
+    rogue.close();
 
     // The healthy connection and its market are untouched.
-    TestServer::sendRequest(healthy, TickNow{});
-    ASSERT_TRUE(TestServer::readResponse(healthy, resp));
-    TestServer::sendRequest(healthy, GetAllocation{3});
-    ASSERT_TRUE(TestServer::readResponse(healthy, resp));
-    EXPECT_TRUE(std::holds_alternative<AllocationReply>(resp));
+    roundTrip(healthy, TickNow{});
+    EXPECT_TRUE(std::holds_alternative<AllocationReply>(
+        roundTrip(healthy, GetAllocation{3})));
 
-    ::close(healthy);
+    healthy.close();
     server.shutdownViaProtocol();
 }
 
 TEST(SocketServer, MidFrameDisconnectIsAbsorbed)
 {
     TestServer server;
-    const int fd = server.connect();
-    ASSERT_GE(fd, 0);
+    Client client = server.connect();
 
     // Announce an 80-byte payload, deliver 3 bytes, hang up.
     const std::uint8_t partial[] = {80, 0, 0, 0, 0x01, 0x02, 0x03};
-    TestServer::sendAll(fd, partial, sizeof(partial));
-    ::close(fd);
+    sendAll(client.fd(), partial, sizeof(partial));
+    client.close();
 
     // The server must keep accepting and serving.
-    const int fd2 = server.connect();
-    ASSERT_GE(fd2, 0);
-    TestServer::sendRequest(fd2, smallMarket(4));
-    Response resp;
-    ASSERT_TRUE(TestServer::readResponse(fd2, resp));
-    EXPECT_TRUE(std::holds_alternative<AckReply>(resp));
-    ::close(fd2);
+    Client again = server.connect();
+    EXPECT_TRUE(std::holds_alternative<AckReply>(
+        roundTrip(again, smallMarket(4))));
+    again.close();
 
     server.shutdownViaProtocol();
 }
@@ -316,16 +270,13 @@ TEST(SocketServer, MidFrameDisconnectIsAbsorbed)
 TEST(SocketServer, StatsOverTheWire)
 {
     TestServer server;
-    const int fd = server.connect();
-    ASSERT_GE(fd, 0);
-    TestServer::sendRequest(fd, GetStats{});
-    Response resp;
-    ASSERT_TRUE(TestServer::readResponse(fd, resp));
+    Client client = server.connect();
+    const Response resp = roundTrip(client, GetStats{});
     const auto *stats = std::get_if<StatsReply>(&resp);
     ASSERT_NE(stats, nullptr);
     EXPECT_NE(stats->json.find("rebudget.serve_stats.v1"),
               std::string::npos);
-    ::close(fd);
+    client.close();
     server.shutdownViaProtocol();
 }
 
@@ -338,59 +289,29 @@ TEST(SocketServer, TinySendWindowBuffersPendingReplies)
     // -- while other connections keep round-tripping.  Every reply
     // must eventually arrive intact, in order, with nothing truncated
     // or duplicated.
-    ServeConfig config;
-    config.shards = 2;
-    config.jobs = 1;
-    config.market.maxIterations = 200;
-    ServerCore core(config);
-    SocketServerOptions options;
-    options.port = 0;
-    options.tickMs = 0;
-    SocketServer server(core, options);
-    util::SolveStatus result;
-    std::thread thread([&] { result = server.run(); });
-
-    std::uint16_t port = 0;
-    for (int i = 0; i < 200 && port == 0; ++i) {
-        port = server.boundPort();
-        if (port == 0)
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    ASSERT_NE(port, 0);
-
-    auto tcpConnect = [port](int rcvbuf) {
-        const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        EXPECT_GE(fd, 0);
-        if (rcvbuf > 0) {
-            // Must be set before connect so the window is negotiated
-            // small; the kernel clamps to its floor, which is still
-            // far below one burst of stats replies.
-            EXPECT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf,
-                                   sizeof(rcvbuf)),
-                      0);
-        }
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        addr.sin_port = htons(port);
-        EXPECT_EQ(::connect(fd,
-                            reinterpret_cast<const sockaddr *>(&addr),
-                            sizeof(addr)),
-                  0);
-        return fd;
-    };
-
-    const int brisk = tcpConnect(0);
-    ASSERT_GE(brisk, 0);
-    Response resp;
+    TestServer server(/*tcp=*/true);
+    Client brisk = server.connect();
     for (std::uint64_t m = 0; m < 8; ++m) {
-        TestServer::sendRequest(brisk, smallMarket(m));
-        ASSERT_TRUE(TestServer::readResponse(brisk, resp));
-        ASSERT_TRUE(std::holds_alternative<AckReply>(resp));
+        ASSERT_TRUE(std::holds_alternative<AckReply>(
+            roundTrip(brisk, smallMarket(m))));
     }
 
-    const int slow = tcpConnect(1024);
+    // The slow peer needs its receive buffer set before connect, so the
+    // window is negotiated small; the kernel clamps to its floor, which
+    // is still far below one burst of stats replies.
+    const int slow = ::socket(AF_INET, SOCK_STREAM, 0);
     ASSERT_GE(slow, 0);
+    const int rcvbuf = 1024;
+    EXPECT_EQ(::setsockopt(slow, SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                           sizeof(rcvbuf)),
+              0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(server.port());
+    ASSERT_EQ(::connect(slow, reinterpret_cast<const sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
     constexpr int kPipelined = 120;
     {
         std::vector<std::uint8_t> frame;
@@ -398,19 +319,17 @@ TEST(SocketServer, TinySendWindowBuffersPendingReplies)
         std::vector<std::uint8_t> burst;
         for (int i = 0; i < kPipelined; ++i)
             burst.insert(burst.end(), frame.begin(), frame.end());
-        TestServer::sendAll(slow, burst.data(), burst.size());
+        sendAll(slow, burst.data(), burst.size());
     }
     // Give the server time to answer far more than one window's worth,
     // so replies are definitely parked in the connection's send queue.
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
     // A backed-up peer must not wedge the loop for anyone else.
-    TestServer::sendRequest(brisk, TickNow{});
-    ASSERT_TRUE(TestServer::readResponse(brisk, resp));
-    EXPECT_TRUE(std::holds_alternative<AckReply>(resp));
-    TestServer::sendRequest(brisk, GetAllocation{3});
-    ASSERT_TRUE(TestServer::readResponse(brisk, resp));
-    EXPECT_TRUE(std::holds_alternative<AllocationReply>(resp));
+    EXPECT_TRUE(
+        std::holds_alternative<AckReply>(roundTrip(brisk, TickNow{})));
+    EXPECT_TRUE(std::holds_alternative<AllocationReply>(
+        roundTrip(brisk, GetAllocation{3})));
 
     // Now drain the slow connection: every pipelined reply arrives
     // whole.  One FrameReader persists across the whole stream (a
@@ -451,55 +370,17 @@ TEST(SocketServer, TinySendWindowBuffersPendingReplies)
     }
     ::close(slow);
 
-    TestServer::sendRequest(brisk, Shutdown{});
-    ASSERT_TRUE(TestServer::readResponse(brisk, resp));
-    EXPECT_TRUE(std::holds_alternative<AckReply>(resp));
-    ::close(brisk);
-    thread.join();
-    EXPECT_TRUE(result.ok()) << result.toString();
+    brisk.close();
+    server.shutdownViaProtocol();
 }
 
 TEST(SocketServer, LoopbackTcpWithEphemeralPort)
 {
-    ServeConfig config;
-    config.shards = 1;
-    config.jobs = 1;
-    config.market.maxIterations = 200;
-    ServerCore core(config);
-    SocketServerOptions options;
-    options.port = 0; // kernel picks; boundPort() reports
-    options.tickMs = 0;
-    SocketServer server(core, options);
-    util::SolveStatus result;
-    std::thread thread([&] { result = server.run(); });
-
-    std::uint16_t port = 0;
-    for (int i = 0; i < 200 && port == 0; ++i) {
-        port = server.boundPort();
-        if (port == 0)
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    ASSERT_NE(port, 0);
-
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
-                        sizeof(addr)),
-              0);
-
-    TestServer::sendRequest(fd, smallMarket(9));
-    Response resp;
-    ASSERT_TRUE(TestServer::readResponse(fd, resp));
-    EXPECT_TRUE(std::holds_alternative<AckReply>(resp));
-
-    TestServer::sendRequest(fd, Shutdown{});
-    ASSERT_TRUE(TestServer::readResponse(fd, resp));
-    EXPECT_TRUE(std::holds_alternative<AckReply>(resp));
-    ::close(fd);
-    thread.join();
-    EXPECT_TRUE(result.ok()) << result.toString();
+    TestServer server(/*tcp=*/true); // kernel picks; boundPort() reports
+    ASSERT_NE(server.port(), 0);
+    Client client = server.connect();
+    EXPECT_TRUE(std::holds_alternative<AckReply>(
+        roundTrip(client, smallMarket(9))));
+    client.close();
+    server.shutdownViaProtocol();
 }

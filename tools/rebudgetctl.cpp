@@ -7,32 +7,16 @@
  * reply or transport failure, so shell scripts (tools/serve_smoke.sh)
  * can assert both directions.
  *
- * Commands:
- *   create <market> <app1,app2,...>    founding tenants get ids 0..n-1
- *   demand <market> <tenant> <weight>
- *   join <market> <tenant> <app>
- *   leave <market> <tenant>
- *   get <market>
- *   stats
- *   tick
- *   shutdown
+ * The commands are the text grammar of rebudget/serve/command.h.
  */
 
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include "rebudget/serve/protocol.h"
+#include "rebudget/serve/client.h"
+#include "rebudget/serve/command.h"
 #include "rebudget/util/arg_parse.h"
 #include "rebudget/util/logging.h"
 
@@ -58,111 +42,6 @@ usage()
         "  tick\n"
         "  shutdown\n",
         stderr);
-}
-
-std::uint64_t
-parseId(const char *what, const std::string &value)
-{
-    const auto parsed = util::parseUnsigned(value);
-    if (!parsed.ok())
-        util::fatal("%s: %s", what, parsed.status().message().c_str());
-    return parsed.value();
-}
-
-int
-connectTo(const std::string &socket_path, std::uint16_t port)
-{
-    if (!socket_path.empty()) {
-        const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd < 0)
-            util::fatal("socket: %s", std::strerror(errno));
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (socket_path.size() >= sizeof(addr.sun_path))
-            util::fatal("socket path too long: %s", socket_path.c_str());
-        std::strncpy(addr.sun_path, socket_path.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
-            util::fatal("connect(%s): %s", socket_path.c_str(),
-                        std::strerror(errno));
-        }
-        return fd;
-    }
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        util::fatal("socket: %s", std::strerror(errno));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0)
-        util::fatal("connect(port %u): %s", port, std::strerror(errno));
-    return fd;
-}
-
-serve::Response
-roundTrip(int fd, const serve::Request &req, std::uint64_t timeoutMs)
-{
-    std::vector<std::uint8_t> frame;
-    serve::encodeRequest(req, frame);
-    std::size_t sent = 0;
-    while (sent < frame.size()) {
-        // MSG_NOSIGNAL (plus the SIGPIPE ignore in main): a daemon
-        // that died mid-exchange must surface as a typed transport
-        // error and exit status 1, not kill this process with SIGPIPE.
-        const ssize_t n = ::send(fd, frame.data() + sent,
-                                 frame.size() - sent, MSG_NOSIGNAL);
-        if (n <= 0) {
-            if (n < 0 && errno == EINTR)
-                continue;
-            util::fatal("send: %s (daemon gone?)",
-                        n < 0 ? std::strerror(errno)
-                              : "connection closed");
-        }
-        sent += static_cast<std::size_t>(n);
-    }
-    serve::FrameReader reader;
-    std::vector<std::uint8_t> payload;
-    std::uint8_t buf[64 * 1024];
-    for (;;) {
-        switch (reader.next(payload)) {
-        case serve::FrameReader::Result::Frame: {
-            const auto resp =
-                serve::decodeResponse(payload.data(), payload.size());
-            if (!resp.ok())
-                util::fatal("%s", resp.status().toString().c_str());
-            return resp.value();
-        }
-        case serve::FrameReader::Result::Error:
-            util::fatal("%s", reader.error().c_str());
-        case serve::FrameReader::Result::NeedMore:
-            break;
-        }
-        if (timeoutMs != 0) {
-            // Bound each wait for more reply bytes, so a wedged or
-            // unresponsive daemon fails the script quickly instead of
-            // hanging it (the error names the deadline that tripped).
-            pollfd pfd{fd, POLLIN, 0};
-            int rc;
-            do {
-                rc = ::poll(&pfd, 1, static_cast<int>(timeoutMs));
-            } while (rc < 0 && errno == EINTR);
-            if (rc < 0)
-                util::fatal("poll: %s", std::strerror(errno));
-            if (rc == 0)
-                util::fatal("timed out after %llu ms waiting for the"
-                            " reply",
-                            static_cast<unsigned long long>(timeoutMs));
-        }
-        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-        if (n == 0)
-            util::fatal("server closed the connection mid-reply");
-        if (n < 0)
-            util::fatal("recv: %s", std::strerror(errno));
-        reader.feed(buf, static_cast<std::size_t>(n));
-    }
 }
 
 /** @return the process exit status for a reply (1 on Error). */
@@ -202,36 +81,12 @@ printResponse(const serve::Response &resp)
     return 0;
 }
 
-std::vector<std::string>
-splitApps(const std::string &list)
-{
-    std::vector<std::string> apps;
-    std::size_t start = 0;
-    while (start <= list.size()) {
-        const std::size_t comma = list.find(',', start);
-        const std::size_t end =
-            comma == std::string::npos ? list.size() : comma;
-        const std::string app = list.substr(start, end - start);
-        if (app.empty())
-            util::fatal("empty app name in list '%s'", list.c_str());
-        apps.push_back(app);
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return apps;
-}
-
-} // namespace
-
-namespace {
-
 int
 runCtl(int argc, char **argv)
 {
     std::string socket_path;
     std::uint16_t port = 0;
-    std::uint64_t timeout_ms = 0;
+    std::uint32_t timeout_ms = 0;
     std::vector<std::string> args;
 
     for (int i = 1; i < argc; ++i) {
@@ -244,11 +99,12 @@ runCtl(int argc, char **argv)
             if (i + 1 >= argc)
                 util::fatal("--port requires a value");
             port = static_cast<std::uint16_t>(
-                parseId("--port", argv[++i]));
+                util::flagUnsigned(arg, argv[++i], 0xffff));
         } else if (arg == "--timeout-ms") {
             if (i + 1 >= argc)
                 util::fatal("--timeout-ms requires a value");
-            timeout_ms = parseId("--timeout-ms", argv[++i]);
+            timeout_ms = static_cast<std::uint32_t>(
+                util::flagUnsigned(arg, argv[++i], 0xffffffffu));
         } else if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
@@ -260,61 +116,19 @@ runCtl(int argc, char **argv)
         usage();
         util::fatal("pick a transport: --socket PATH or --port N");
     }
-    if (args.empty()) {
+    const auto req = serve::parseCommand(args);
+    if (!req.ok()) {
         usage();
-        util::fatal("missing command");
+        util::fatal("%s", req.status().message().c_str());
     }
-
-    const std::string &cmd = args[0];
-    serve::Request req;
-    if (cmd == "create") {
-        if (args.size() != 3)
-            util::fatal("create needs <market> <app1,app2,...>");
-        serve::CreateMarket create;
-        create.market = parseId("market id", args[1]);
-        std::uint64_t tenant = 0;
-        for (const std::string &app : splitApps(args[2]))
-            create.tenants.push_back({tenant++, app});
-        req = std::move(create);
-    } else if (cmd == "demand") {
-        if (args.size() != 4)
-            util::fatal("demand needs <market> <tenant> <weight>");
-        const auto weight = util::parseDouble(args[3]);
-        if (!weight.ok())
-            util::fatal("weight: %s",
-                        weight.status().message().c_str());
-        req = serve::SubmitDemand{parseId("market id", args[1]),
-                                  parseId("tenant id", args[2]),
-                                  weight.value()};
-    } else if (cmd == "join") {
-        if (args.size() != 4)
-            util::fatal("join needs <market> <tenant> <app>");
-        req = serve::JoinTenant{parseId("market id", args[1]),
-                                parseId("tenant id", args[2]), args[3]};
-    } else if (cmd == "leave") {
-        if (args.size() != 3)
-            util::fatal("leave needs <market> <tenant>");
-        req = serve::LeaveTenant{parseId("market id", args[1]),
-                                 parseId("tenant id", args[2])};
-    } else if (cmd == "get") {
-        if (args.size() != 2)
-            util::fatal("get needs <market>");
-        req = serve::GetAllocation{parseId("market id", args[1])};
-    } else if (cmd == "stats") {
-        req = serve::GetStats{};
-    } else if (cmd == "tick") {
-        req = serve::TickNow{};
-    } else if (cmd == "shutdown") {
-        req = serve::Shutdown{};
-    } else {
-        usage();
-        util::fatal("unknown command '%s'", cmd.c_str());
-    }
-
-    const int fd = connectTo(socket_path, port);
-    const serve::Response resp = roundTrip(fd, req, timeout_ms);
-    ::close(fd);
-    return printResponse(resp);
+    serve::Client client;
+    const util::SolveStatus connected = client.connect(socket_path, port);
+    if (!connected.ok())
+        util::fatal("%s", connected.message().c_str());
+    const auto resp = client.call(req.value(), timeout_ms);
+    if (!resp.ok())
+        util::fatal("%s", resp.status().message().c_str());
+    return printResponse(resp.value());
 }
 
 } // namespace

@@ -23,7 +23,7 @@
  * op index).  Two runs with the same flags issue the same request
  * sequence per connection; only the socket interleaving varies.  With
  * --emit-trace FILE the same schedule is serialized as a replay trace
- * (tools/serve_smoke.sh grammar) and the tool exits without
+ * (the serve/command.h grammar) and the tool exits without
  * connecting, which is how serve_load_smoke cross-checks the schedule
  * against `rebudgetd --replay` digest invariance across --jobs.
  *
@@ -41,16 +41,13 @@
 #include <string>
 #include <vector>
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
 
 #include "rebudget/eval/bundle_runner.h"
-#include "rebudget/serve/protocol.h"
+#include "rebudget/serve/client.h"
+#include "rebudget/serve/command.h"
 #include "rebudget/util/arg_parse.h"
 #include "rebudget/util/logging.h"
 #include "rebudget/util/rng.h"
@@ -110,7 +107,7 @@ struct ScheduledOp
 
 struct Connection
 {
-    int fd = -1;
+    serve::Client client;
     std::size_t idx = 0;
     std::uint64_t key = 0;
     std::uint64_t opIndex = 0;
@@ -148,15 +145,6 @@ usage()
         " and exit\n"
         "  --out FILE             write the JSON report to FILE\n",
         stderr);
-}
-
-std::uint64_t
-parseCount(const char *what, const std::string &value)
-{
-    const auto parsed = util::parseUnsigned(value);
-    if (!parsed.ok())
-        util::fatal("%s: %s", what, parsed.status().message().c_str());
-    return parsed.value();
 }
 
 /** The deterministic schedule: op @p i on connection @p key.  Churn
@@ -209,39 +197,6 @@ toRequest(const ScheduledOp &op, const std::string &churnApp)
     }
 }
 
-int
-connectTo(const std::string &socketPath, std::uint16_t port)
-{
-    if (!socketPath.empty()) {
-        const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd < 0)
-            util::fatal("socket: %s", std::strerror(errno));
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (socketPath.size() >= sizeof(addr.sun_path))
-            util::fatal("socket path too long: %s", socketPath.c_str());
-        std::strncpy(addr.sun_path, socketPath.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
-            util::fatal("connect(%s): %s", socketPath.c_str(),
-                        std::strerror(errno));
-        }
-        return fd;
-    }
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        util::fatal("socket: %s", std::strerror(errno));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0)
-        util::fatal("connect(port %u): %s", port, std::strerror(errno));
-    return fd;
-}
-
 void
 setNonBlocking(int fd)
 {
@@ -250,76 +205,40 @@ setNonBlocking(int fd)
         util::fatal("fcntl(O_NONBLOCK): %s", std::strerror(errno));
 }
 
-/** Blocking request/reply round trip (setup phase only). */
-serve::Response
-roundTrip(int fd, const serve::Request &req)
+/** Blocking round trip (setup phase only); any failure or typed
+ * Error reply ends the run. */
+void
+expectAck(serve::Client &client, const serve::Request &req,
+          const char *what)
 {
-    std::vector<std::uint8_t> frame;
-    serve::encodeRequest(req, frame);
-    std::size_t sent = 0;
-    while (sent < frame.size()) {
-        // MSG_NOSIGNAL + the SIGPIPE ignore in main: a daemon killed
-        // mid-run must end the load generator with a typed error (exit
-        // 1), never a signal death -- the crash smoke asserts this.
-        const ssize_t n = ::send(fd, frame.data() + sent,
-                                 frame.size() - sent, MSG_NOSIGNAL);
-        if (n <= 0) {
-            if (n < 0 && errno == EINTR)
-                continue;
-            util::fatal("send: %s (daemon gone?)",
-                        n < 0 ? std::strerror(errno)
-                              : "connection closed");
-        }
-        sent += static_cast<std::size_t>(n);
-    }
-    serve::FrameReader reader;
-    std::vector<std::uint8_t> payload;
-    std::uint8_t buf[64 * 1024];
-    for (;;) {
-        switch (reader.next(payload)) {
-        case serve::FrameReader::Result::Frame: {
-            const auto resp =
-                serve::decodeResponse(payload.data(), payload.size());
-            if (!resp.ok())
-                util::fatal("%s", resp.status().toString().c_str());
-            return resp.value();
-        }
-        case serve::FrameReader::Result::Error:
-            util::fatal("%s", reader.error().c_str());
-        case serve::FrameReader::Result::NeedMore:
-            break;
-        }
-        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-        if (n == 0)
-            util::fatal("server closed the connection during setup");
-        if (n < 0)
-            util::fatal("recv: %s", std::strerror(errno));
-        reader.feed(buf, static_cast<std::size_t>(n));
-    }
+    const auto resp = client.call(req);
+    if (!resp.ok())
+        util::fatal("%s: %s", what, resp.status().message().c_str());
+    if (const auto *err = std::get_if<serve::ErrorReply>(&resp.value()))
+        util::fatal("%s rejected: %s", what, err->message.c_str());
 }
 
-void
-expectAck(const serve::Response &resp, const char *what)
+/** Market @p m of the roster: --players seeded catalog apps. */
+serve::CreateMarket
+createRequest(const LoadOptions &opt, std::uint64_t m)
 {
-    if (const auto *err = std::get_if<serve::ErrorReply>(&resp))
-        util::fatal("%s rejected: %s", what, err->message.c_str());
+    serve::CreateMarket create;
+    create.market = m;
+    const std::vector<std::string> apps =
+        eval::syntheticAppNames(opt.players, opt.seed ^ m);
+    for (std::uint64_t t = 0; t < opt.players; ++t)
+        create.tenants.push_back({t, apps[t]});
+    return create;
 }
 
 /** Create the market roster and run one tick so reads can't race the
  * first publication. */
 void
-setupMarkets(int fd, const LoadOptions &opt)
+setupMarkets(serve::Client &client, const LoadOptions &opt)
 {
-    for (std::uint64_t m = 0; m < opt.markets; ++m) {
-        serve::CreateMarket create;
-        create.market = m;
-        const std::vector<std::string> apps =
-            eval::syntheticAppNames(opt.players, opt.seed ^ m);
-        for (std::uint64_t t = 0; t < opt.players; ++t)
-            create.tenants.push_back({t, apps[t]});
-        expectAck(roundTrip(fd, create), "create");
-    }
-    expectAck(roundTrip(fd, serve::TickNow{}), "tick");
+    for (std::uint64_t m = 0; m < opt.markets; ++m)
+        expectAck(client, createRequest(opt, m), "create");
+    expectAck(client, serve::TickNow{}, "tick");
 }
 
 /** Serialize the schedule as a replay trace: the same create/demand/
@@ -344,17 +263,12 @@ emitTrace(const LoadOptions &opt)
                  static_cast<unsigned long long>(opt.mixRead),
                  static_cast<unsigned long long>(opt.mixWrite),
                  static_cast<unsigned long long>(opt.mixChurn));
-    for (std::uint64_t m = 0; m < opt.markets; ++m) {
-        const std::vector<std::string> apps =
-            eval::syntheticAppNames(opt.players, opt.seed ^ m);
-        std::fprintf(f, "create %llu ",
-                     static_cast<unsigned long long>(m));
-        for (std::size_t t = 0; t < apps.size(); ++t)
-            std::fprintf(f, "%s%s", t == 0 ? "" : ",",
-                         apps[t].c_str());
-        std::fprintf(f, "\n");
-    }
-    std::fprintf(f, "tick\n");
+    auto line = [f](const serve::Request &req) {
+        std::fprintf(f, "%s\n", serve::formatCommand(req).c_str());
+    };
+    for (std::uint64_t m = 0; m < opt.markets; ++m)
+        line(createRequest(opt, m));
+    line(serve::TickNow{});
     std::vector<std::vector<std::uint8_t>> joined(
         opt.connections, std::vector<std::uint8_t>(opt.markets, 0));
     const std::string churnApp =
@@ -368,23 +282,9 @@ emitTrace(const LoadOptions &opt)
                 opt, key, i, joined[c], opt.players + c);
             if (op.cls == kRead)
                 continue; // not in the replay grammar
-            if (op.cls == kWrite) {
-                std::fprintf(f, "demand %llu %llu %.6f\n",
-                             static_cast<unsigned long long>(op.market),
-                             static_cast<unsigned long long>(op.tenant),
-                             op.weight);
-            } else if (op.join) {
-                std::fprintf(f, "join %llu %llu %s\n",
-                             static_cast<unsigned long long>(op.market),
-                             static_cast<unsigned long long>(op.tenant),
-                             churnApp.c_str());
-            } else {
-                std::fprintf(f, "leave %llu %llu\n",
-                             static_cast<unsigned long long>(op.market),
-                             static_cast<unsigned long long>(op.tenant));
-            }
+            line(toRequest(op, churnApp));
             if (++mutations % 64 == 0)
-                std::fprintf(f, "tick\n");
+                line(serve::TickNow{});
         }
     }
     std::fprintf(f, "tick 2\n");
@@ -458,16 +358,19 @@ runLoad(const LoadOptions &opt)
 {
     std::vector<Connection> conns(opt.connections);
     for (std::size_t c = 0; c < conns.size(); ++c) {
-        conns[c].fd = connectTo(opt.socketPath, opt.port);
+        const util::SolveStatus connected =
+            conns[c].client.connect(opt.socketPath, opt.port);
+        if (!connected.ok())
+            util::fatal("%s", connected.message().c_str());
         conns[c].idx = c;
         conns[c].key =
             util::mix64(opt.seed ^ (0x10ad ^ (c * 0x9e37ull)));
         conns[c].joined.assign(opt.markets, 0);
     }
     if (opt.setup)
-        setupMarkets(conns[0].fd, opt);
+        setupMarkets(conns[0].client, opt);
     for (Connection &conn : conns)
-        setNonBlocking(conn.fd);
+        setNonBlocking(conn.client.fd());
 
     const std::string churnApp =
         eval::syntheticAppNames(1, opt.seed ^ 0xc4u)[0];
@@ -537,7 +440,7 @@ runLoad(const LoadOptions &opt)
         }
         bool anyPending = false;
         for (std::size_t c = 0; c < conns.size(); ++c) {
-            fds[c].fd = conns[c].fd;
+            fds[c].fd = conns[c].client.fd();
             fds[c].events = POLLIN;
             if (conns[c].sendoff < conns[c].sendbuf.size())
                 fds[c].events |= POLLOUT;
@@ -558,7 +461,8 @@ runLoad(const LoadOptions &opt)
                 conn.sendoff < conn.sendbuf.size()) {
                 while (conn.sendoff < conn.sendbuf.size()) {
                     const ssize_t n = ::send(
-                        conn.fd, conn.sendbuf.data() + conn.sendoff,
+                        conn.client.fd(),
+                        conn.sendbuf.data() + conn.sendoff,
                         conn.sendbuf.size() - conn.sendoff,
                         MSG_NOSIGNAL);
                     if (n > 0) {
@@ -582,7 +486,8 @@ runLoad(const LoadOptions &opt)
             if ((fds[c].revents & (POLLIN | POLLHUP)) == 0)
                 continue;
             for (;;) {
-                const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
+                const ssize_t n =
+                    ::recv(conn.client.fd(), buf, sizeof(buf), 0);
                 if (n < 0 &&
                     (errno == EAGAIN || errno == EWOULDBLOCK))
                     break;
@@ -612,8 +517,6 @@ runLoad(const LoadOptions &opt)
             util::fatal("timed out draining outstanding replies");
     }
     out.elapsed = util::monotonicSeconds() - start;
-    for (Connection &conn : conns)
-        ::close(conn.fd);
     return out;
 }
 
@@ -698,8 +601,8 @@ runLoad(int argc, char **argv)
         if (arg == "--socket") {
             opt.socketPath = value();
         } else if (arg == "--port") {
-            opt.port =
-                static_cast<std::uint16_t>(parseCount("--port", value()));
+            opt.port = static_cast<std::uint16_t>(
+                util::flagUnsigned(arg, value(), 0xffff));
         } else if (arg == "--mode") {
             const std::string mode = value();
             if (mode == "open")
@@ -710,27 +613,19 @@ runLoad(int argc, char **argv)
                 util::fatal("--mode must be closed or open, got '%s'",
                             mode.c_str());
         } else if (arg == "--connections") {
-            opt.connections = parseCount("--connections", value());
+            opt.connections = util::flagUnsigned(arg, value());
         } else if (arg == "--inflight") {
-            opt.inflight = parseCount("--inflight", value());
+            opt.inflight = util::flagUnsigned(arg, value());
         } else if (arg == "--rate") {
-            const auto parsed = util::parseDouble(value());
-            if (!parsed.ok())
-                util::fatal("--rate: %s",
-                            parsed.status().message().c_str());
-            opt.rate = parsed.value();
+            opt.rate = util::flagDouble(arg, value());
         } else if (arg == "--seconds") {
-            const auto parsed = util::parseDouble(value());
-            if (!parsed.ok())
-                util::fatal("--seconds: %s",
-                            parsed.status().message().c_str());
-            opt.seconds = parsed.value();
+            opt.seconds = util::flagDouble(arg, value());
         } else if (arg == "--ops") {
-            opt.opsPerConn = parseCount("--ops", value());
+            opt.opsPerConn = util::flagUnsigned(arg, value());
         } else if (arg == "--markets") {
-            opt.markets = parseCount("--markets", value());
+            opt.markets = util::flagUnsigned(arg, value());
         } else if (arg == "--players") {
-            opt.players = parseCount("--players", value());
+            opt.players = util::flagUnsigned(arg, value());
         } else if (arg == "--mix") {
             const std::string mix = value();
             unsigned long long r = 0, w = 0, c = 0;
@@ -744,7 +639,7 @@ runLoad(int argc, char **argv)
             opt.mixWrite = w;
             opt.mixChurn = c;
         } else if (arg == "--seed") {
-            opt.seed = parseCount("--seed", value());
+            opt.seed = util::flagUnsigned(arg, value());
         } else if (arg == "--no-setup") {
             opt.setup = false;
         } else if (arg == "--emit-trace") {

@@ -29,49 +29,19 @@ if [ $# -ne 3 ]; then
          "<rebudgetload>" >&2
     exit 2
 fi
+SMOKE_NAME=serve_crash_smoke
 DAEMON=$1
 CTL=$2
 LOAD=$3
+source "$(dirname "${BASH_SOURCE[0]}")/serve_smoke_lib.sh"
 
 SHARDS=4
-TMPDIR_SMOKE=$(mktemp -d)
 STATE=$TMPDIR_SMOKE/state
-SOCK=$TMPDIR_SMOKE/rebudget.sock
-DAEMON_PID=""
-cleanup() {
-    # Bounded: SIGTERM, five seconds to drain, then SIGKILL.
-    if [ -n "$DAEMON_PID" ] && kill -0 "$DAEMON_PID" 2>/dev/null; then
-        kill "$DAEMON_PID" 2>/dev/null || true
-        for _ in $(seq 1 50); do
-            kill -0 "$DAEMON_PID" 2>/dev/null || break
-            sleep 0.1
-        done
-        kill -9 "$DAEMON_PID" 2>/dev/null || true
-        wait "$DAEMON_PID" 2>/dev/null || true
-    fi
-    rm -rf "$TMPDIR_SMOKE"
-}
-trap cleanup EXIT
 
-fail() {
-    echo "serve_crash_smoke: FAIL: $*" >&2
-    exit 1
-}
-
-start_daemon() {
-    # $1 = log file.  Stale socket files from a previous crash must not
-    # satisfy the "daemon is up" probe below.
-    rm -f "$SOCK"
-    "$DAEMON" --socket "$SOCK" --shards $SHARDS --jobs 2 --tick-ms 5 \
-        --state-dir "$STATE" --snapshot-ticks 8 --no-fsync \
-        > "$1" 2>&1 &
-    DAEMON_PID=$!
-    for _ in $(seq 1 100); do
-        [ -S "$SOCK" ] && break
-        kill -0 "$DAEMON_PID" 2>/dev/null || fail "daemon exited early"
-        sleep 0.1
-    done
-    [ -S "$SOCK" ] || fail "daemon never created $SOCK"
+start_crash_daemon() {
+    # $1 = log file.
+    start_daemon "$1" --shards $SHARDS --jobs 2 --tick-ms 5 \
+        --state-dir "$STATE" --snapshot-ticks 8 --no-fsync
 }
 
 verify_digest() {
@@ -84,7 +54,7 @@ verify_digest() {
 # ----------------------------------------------------------------
 # Part A: kill -9 mid-load.
 # ----------------------------------------------------------------
-start_daemon "$TMPDIR_SMOKE/daemon1.log"
+start_crash_daemon "$TMPDIR_SMOKE/daemon1.log"
 
 # Drive enough ops that the generator is still mid-flight at the kill.
 "$LOAD" --socket "$SOCK" --mode closed --connections 2 --inflight 4 \
@@ -139,7 +109,7 @@ V2=$(verify_digest)
 # ----------------------------------------------------------------
 # Part B: restart, digest match, serve from recovered state.
 # ----------------------------------------------------------------
-start_daemon "$TMPDIR_SMOKE/daemon2.log"
+start_crash_daemon "$TMPDIR_SMOKE/daemon2.log"
 
 RECOVERED_LINE=$(grep '^recovered markets' "$TMPDIR_SMOKE/daemon2.log" \
     || true)
@@ -164,14 +134,7 @@ echo "$GET_OUT" | grep -q "market 0" || fail "recovered allocation" \
 
 # Graceful shutdown: SIGTERM drains and writes a final snapshot.
 kill -TERM "$DAEMON_PID"
-WAITED=0
-while kill -0 "$DAEMON_PID" 2>/dev/null; do
-    WAITED=$((WAITED + 1))
-    [ "$WAITED" -le 100 ] || fail "daemon ignored SIGTERM"
-    sleep 0.1
-done
-wait "$DAEMON_PID" || fail "daemon exited non-zero after SIGTERM"
-DAEMON_PID=""
+await_daemon_exit SIGTERM
 
 # The final snapshot must cover the post-recovery writes: market 9000
 # lives in the recovered image now.

@@ -28,32 +28,11 @@ if [ $# -ne 3 ]; then
          "<rebudgetload>" >&2
     exit 2
 fi
+SMOKE_NAME=serve_load_smoke
 DAEMON=$1
 CTL=$2
 LOAD=$3
-
-TMPDIR_SMOKE=$(mktemp -d)
-DAEMON_PID=""
-cleanup() {
-    # Bounded: a wedged daemon gets SIGTERM, five seconds to drain,
-    # then SIGKILL -- the cleanup path must never hang the test run.
-    if [ -n "$DAEMON_PID" ] && kill -0 "$DAEMON_PID" 2>/dev/null; then
-        kill "$DAEMON_PID" 2>/dev/null || true
-        for _ in $(seq 1 50); do
-            kill -0 "$DAEMON_PID" 2>/dev/null || break
-            sleep 0.1
-        done
-        kill -9 "$DAEMON_PID" 2>/dev/null || true
-        wait "$DAEMON_PID" 2>/dev/null || true
-    fi
-    rm -rf "$TMPDIR_SMOKE"
-}
-trap cleanup EXIT
-
-fail() {
-    echo "serve_load_smoke: FAIL: $*" >&2
-    exit 1
-}
+source "$(dirname "${BASH_SOURCE[0]}")/serve_smoke_lib.sh"
 
 check_report() {
     # $1 = report path, $2 = part label.  The generator already exits
@@ -69,19 +48,7 @@ check_report() {
     return 0
 }
 
-SOCK=$TMPDIR_SMOKE/rebudget.sock
-# A stale socket file from a crashed previous run would make the
-# "daemon is up" probe below pass before bind(); clear it first.
-rm -f "$SOCK"
-"$DAEMON" --socket "$SOCK" --shards 4 --jobs 2 --tick-ms 5 &
-DAEMON_PID=$!
-
-for _ in $(seq 1 100); do
-    [ -S "$SOCK" ] && break
-    kill -0 "$DAEMON_PID" 2>/dev/null || fail "daemon exited early"
-    sleep 0.1
-done
-[ -S "$SOCK" ] || fail "daemon never created $SOCK"
+start_daemon "" --shards 4 --jobs 2 --tick-ms 5
 
 # ----------------------------------------------------------------
 # Part A: closed-loop run with a churn-heavy mix.
@@ -116,14 +83,7 @@ echo "serve_load_smoke: part B (open loop) OK"
 echo "serve_load_smoke: part D (ctl --timeout-ms) OK"
 
 "$CTL" --socket "$SOCK" shutdown || fail "shutdown rejected"
-WAITED=0
-while kill -0 "$DAEMON_PID" 2>/dev/null; do
-    WAITED=$((WAITED + 1))
-    [ "$WAITED" -le 100 ] || fail "daemon ignored protocol Shutdown"
-    sleep 0.1
-done
-wait "$DAEMON_PID" || fail "daemon exited non-zero after Shutdown"
-DAEMON_PID=""
+await_daemon_exit Shutdown
 
 # ----------------------------------------------------------------
 # Part C: emit the deterministic schedule as a replay trace; the
@@ -135,15 +95,6 @@ TRACE=$TMPDIR_SMOKE/load_trace.txt
     --emit-trace "$TRACE" || fail "--emit-trace exited non-zero"
 [ -s "$TRACE" ] || fail "--emit-trace wrote an empty trace"
 
-digest_at() {
-    "$DAEMON" --replay "$TRACE" --shards 4 "$@" \
-        | awk '/^digest/ { print $2 }'
-}
-D1=$(digest_at --jobs 1)
-D2=$(digest_at --jobs 2)
-DHW=$(digest_at)
-[ -n "$D1" ] || fail "replay printed no digest"
-[ "$D1" = "$D2" ] || fail "digest differs --jobs 1 ($D1) vs 2 ($D2)"
-[ "$D1" = "$DHW" ] || fail "digest differs --jobs 1 ($D1) vs hw ($DHW)"
+check_replay_digests "$TRACE"
 echo "serve_load_smoke: part C (trace replay determinism) OK:" \
-     "digest $D1"
+     "digest $REPLAY_DIGEST"

@@ -3,6 +3,9 @@
 #
 #   serve_smoke.sh <rebudgetd> <rebudgetctl> <trace>
 #
+# Part 0 checks that rebudgetctl rejects an out-of-range --port by
+# name, without connecting.
+#
 # Part A drives a live daemon over a Unix-domain socket: create a
 # market, tick, read the allocation back, exercise one typed-error
 # path, then shut the daemon down cleanly through the protocol.
@@ -17,49 +20,31 @@ if [ $# -ne 3 ]; then
     echo "usage: serve_smoke.sh <rebudgetd> <rebudgetctl> <trace>" >&2
     exit 2
 fi
+SMOKE_NAME=serve_smoke
 DAEMON=$1
 CTL=$2
 TRACE=$3
+source "$(dirname "${BASH_SOURCE[0]}")/serve_smoke_lib.sh"
 
-TMPDIR_SMOKE=$(mktemp -d)
-DAEMON_PID=""
-cleanup() {
-    # Bounded: a wedged daemon gets SIGTERM, five seconds to drain,
-    # then SIGKILL -- the cleanup path must never hang the test run.
-    if [ -n "$DAEMON_PID" ] && kill -0 "$DAEMON_PID" 2>/dev/null; then
-        kill "$DAEMON_PID" 2>/dev/null || true
-        for _ in $(seq 1 50); do
-            kill -0 "$DAEMON_PID" 2>/dev/null || break
-            sleep 0.1
-        done
-        kill -9 "$DAEMON_PID" 2>/dev/null || true
-        wait "$DAEMON_PID" 2>/dev/null || true
+# ----------------------------------------------------------------
+# Part 0: --port out of range is a named flag error, before any
+# connection attempt.
+# ----------------------------------------------------------------
+for port in 70000 65536; do
+    ERR=$("$CTL" --port "$port" stats 2>&1) && RC=0 || RC=$?
+    [ "$RC" -eq 1 ] || fail "--port $port exited $RC, expected 1"
+    echo "$ERR" | grep -q "^error: --port: '$port' exceeds the allowed" \
+        || fail "--port $port: unexpected message: $ERR"
+    if echo "$ERR" | grep -q "connect"; then
+        fail "--port $port attempted a connection: $ERR"
     fi
-    rm -rf "$TMPDIR_SMOKE"
-}
-trap cleanup EXIT
-
-fail() {
-    echo "serve_smoke: FAIL: $*" >&2
-    exit 1
-}
+done
+echo "serve_smoke: part 0 (--port range) OK"
 
 # ----------------------------------------------------------------
 # Part A: live daemon round-trip over a Unix socket.
 # ----------------------------------------------------------------
-SOCK=$TMPDIR_SMOKE/rebudget.sock
-# A stale socket file from a crashed previous run would make the
-# "daemon is up" probe below pass before bind(); clear it first.
-rm -f "$SOCK"
-"$DAEMON" --socket "$SOCK" --shards 4 --jobs 2 --tick-ms 0 &
-DAEMON_PID=$!
-
-for _ in $(seq 1 100); do
-    [ -S "$SOCK" ] && break
-    kill -0 "$DAEMON_PID" 2>/dev/null || fail "daemon exited early"
-    sleep 0.1
-done
-[ -S "$SOCK" ] || fail "daemon never created $SOCK"
+start_daemon "" --shards 4 --jobs 2 --tick-ms 0
 
 "$CTL" --socket "$SOCK" create 42 mcf,vpr,twolf,art \
     || fail "create rejected"
@@ -79,28 +64,11 @@ fi
     || fail "stats reply missing schema tag"
 
 "$CTL" --socket "$SOCK" shutdown || fail "shutdown rejected"
-WAITED=0
-while kill -0 "$DAEMON_PID" 2>/dev/null; do
-    WAITED=$((WAITED + 1))
-    [ "$WAITED" -le 100 ] || fail "daemon ignored protocol Shutdown"
-    sleep 0.1
-done
-wait "$DAEMON_PID" || fail "daemon exited non-zero after Shutdown"
-DAEMON_PID=""
+await_daemon_exit Shutdown
 echo "serve_smoke: part A (socket round-trip) OK"
 
 # ----------------------------------------------------------------
 # Part B: deterministic replay, digest stable across --jobs.
 # ----------------------------------------------------------------
-digest_at() {
-    "$DAEMON" --replay "$TRACE" --shards 4 "$@" \
-        | awk '/^digest/ { print $2 }'
-}
-
-D1=$(digest_at --jobs 1)
-D2=$(digest_at --jobs 2)
-DHW=$(digest_at)
-[ -n "$D1" ] || fail "replay printed no digest"
-[ "$D1" = "$D2" ] || fail "digest differs --jobs 1 ($D1) vs 2 ($D2)"
-[ "$D1" = "$DHW" ] || fail "digest differs --jobs 1 ($D1) vs hw ($DHW)"
-echo "serve_smoke: part B (replay determinism) OK: digest $D1"
+check_replay_digests "$TRACE"
+echo "serve_smoke: part B (replay determinism) OK: digest $REPLAY_DIGEST"
