@@ -46,14 +46,14 @@ makeBundleProblem(const std::vector<std::string> &app_names,
 std::vector<std::string>
 syntheticAppNames(size_t players, uint64_t seed)
 {
-    const auto &profiles = app::catalogProfiles();
+    // Names only: the catalog's parameters, not its costly profiles.
+    static const std::vector<app::AppParams> catalog = app::spec24Catalog();
     util::Rng rng = util::Rng::forStream(
         seed, {util::hashId("synthetic-roster")});
     std::vector<std::string> names;
     names.reserve(players);
     for (size_t i = 0; i < players; ++i)
-        names.push_back(
-            profiles[rng.uniformInt(profiles.size())].params.name);
+        names.push_back(catalog[rng.uniformInt(catalog.size())].name);
     return names;
 }
 
